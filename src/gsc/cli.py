@@ -125,10 +125,9 @@ def main() -> None:
 @click.option("--per-block", is_flag=True, help="Also list every multidegree block.")
 @click.option("--no-shortcut", is_flag=True, help="Disable pruning; verify zeros by elimination.")
 @threads_option
-@click.option("--seed", type=int, default=0, show_default=True, help="Accepted for config parity; dims is deterministic.")
 @format_option
 @cache_option
-def cmd_dims(d, max_arity, field, variant, per_block, no_shortcut, threads, seed, fmt, cache_dir):
+def cmd_dims(d, max_arity, field, variant, per_block, no_shortcut, threads, fmt, cache_dir):
     """Total and per-block quotient dimensions for arities 1..max."""
     if d < 1:
         raise click.UsageError("--d must be >= 1")

@@ -555,13 +555,15 @@ def lift_two_alternating(
 
     cfg = config or QuotientConfig(variant=variant)
     for k in multidegrees(n_triangle_entries(n), d):
+        monomials = enumerate_block_monomials(n, k)
+        values = [field.convert(phi(m)) for m in monomials]
         for row in block_rows(n, k, d, variant, field):
             total = field.zero()
-            for mono in row:
-                total = field.add(total, field.convert(phi(mono)))
+            for c in row:
+                total = field.add(total, values[c])
             if total != field.zero():
                 raise NotTwoAlternating(
                     f"functional does not annihilate a relation row in block {k}",
-                    row=tuple((m, 1) for m in row),
+                    row=tuple((monomials[c], 1) for c in row),
                 )
     return LiftedFunctional(phi, n, d, field, variant, cfg)

@@ -22,21 +22,24 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, permutations
 from typing import Iterator
 
+import numpy as np
+
 from .errors import CharacteristicUnsupported, DegreeMismatch
 from .fields import FieldSpec
 from .sparse import SparseMatrix
 from .tensor import (
     MultiDegree,
     TriMonomial,
+    _triangle_offset,
     _words_with_counts,
     count_block_monomials,
     enumerate_block_monomials,
     n_triangle_entries,
-    rank_in_block,
+    rank_words_in_block,
     triangle_positions,
 )
 
-Row = tuple[TriMonomial, ...]  # sorted monomials, all coefficients 1
+Row = tuple[int, ...]  # sorted column indices, all coefficients 1
 
 VARIANTS = (1, 2, 3)
 
@@ -60,7 +63,7 @@ class TriangleRelation:
         i, j, k = self.triple
         return ((i, j), (i, k), (j, k))
 
-    def monomials(self) -> Row:
+    def monomials(self) -> tuple[TriMonomial, ...]:
         """The distinct arrangements (1, 3, or 6 of them), sorted."""
         base = dict(self.fill)
         slots = self.triangle_slots()
@@ -99,39 +102,87 @@ def _check_variant(variant: int, field: FieldSpec | None) -> None:
         )
 
 
-def iter_block_relations(
-    size: int, k: MultiDegree, d: int, variant: int = 3, field: FieldSpec | None = None
+def _fill_counts(k: MultiDegree, occ: tuple[int, int, int]) -> list[int] | None:
+    """Letter counts left for the fill once ``occ`` is placed, or None."""
+    remaining = list(k)
+    for v in occ:
+        remaining[v - 1] -= 1
+        if remaining[v - 1] < 0:
+            return None
+    return remaining
+
+
+def _triangle_relations(
+    size: int, k: MultiDegree, d: int, variant: int = 3
 ) -> Iterator[TriangleRelation]:
-    """All triangle relations of one multidegree block, deterministically.
+    """Every relation of one valid block as an object: the reference model.
 
     Order: triples lexicographically, occupant multisets lexicographically,
     fills lexicographically.
     """
-    _check_variant(variant, field)
-    n_pos = n_triangle_entries(size)
-    if sum(k) != n_pos or any(x < 0 for x in k):
-        raise DegreeMismatch(f"multidegree {k} does not sum to {n_pos}")
-    if size < 3:
-        return
     all_pos = triangle_positions(size)
     for triple in combinations(range(1, size + 1), 3):
         i, j, kk = triple
         tri_slots = {(i, j), (i, kk), (j, kk)}
         rest = [p for p in all_pos if p not in tri_slots]
         for occ in _occupant_multisets(d, variant):
-            remaining = list(k)
-            ok = True
-            for v in occ:
-                remaining[v - 1] -= 1
-                if remaining[v - 1] < 0:
-                    ok = False
-                    break
-            if not ok:
+            remaining = _fill_counts(k, occ)
+            if remaining is None:
                 continue
             for fill_word in _words_with_counts(remaining):
                 yield TriangleRelation(
                     size, triple, occ, tuple(zip(rest, fill_word))
                 )
+
+
+def _check_block(size: int, k: MultiDegree) -> None:
+    n_pos = n_triangle_entries(size)
+    if sum(k) != n_pos or any(x < 0 for x in k):
+        raise DegreeMismatch(f"multidegree {k} does not sum to {n_pos}")
+
+
+def iter_block_relations(
+    size: int, k: MultiDegree, d: int, variant: int = 3, field: FieldSpec | None = None
+) -> Iterator[Row]:
+    """All relation rows of one multidegree block, deterministically.
+
+    Each row is the sorted tuple of its column indices, a column being a
+    monomial's rank in the block's canonical (lex) order.  Order:
+    triples lexicographically, occupant multisets lexicographically,
+    fills lexicographically -- the order of the :class:`TriangleRelation`
+    model, whose ``monomials()`` ranked and sorted give the same rows.
+
+    Per (triple, multiset) the fill words are scattered into one integer
+    array with each arrangement of the occupants and ranked in a single
+    vectorized call; the fill words depend only on the letters left, so
+    they are built once per multiset.
+    """
+    _check_variant(variant, field)
+    _check_block(size, k)
+    if size < 3:
+        return
+    k = tuple(k)
+    n_pos = n_triangle_entries(size)
+    fills = {}  # occupant multiset -> its fill words, one per array row
+    for occ in _occupant_multisets(d, variant):
+        remaining = _fill_counts(k, occ)
+        if remaining is not None:
+            fills[occ] = np.array(list(_words_with_counts(remaining)), dtype=np.int64)
+    for i, j, kk in combinations(range(1, size + 1), 3):
+        slots = [_triangle_offset(size, *p) for p in ((i, j), (i, kk), (j, kk))]
+        rest = [t for t in range(n_pos) if t not in slots]
+        for occ, fill in fills.items():
+            words = np.empty((len(fill), n_pos), dtype=np.int64)
+            words[:, rest] = fill
+            columns = []
+            for arrangement in set(permutations(occ)):
+                words[:, slots] = arrangement
+                columns.append(rank_words_in_block(words, k))
+            # one array row per arrangement; sorting down each column
+            # sorts each relation's column indices
+            rows = np.sort(np.stack(columns), axis=0).tolist()
+            del words, columns  # free the batch while its rows are consumed
+            yield from zip(*rows)
 
 
 def relation_generators(
@@ -145,7 +196,7 @@ def relation_generators(
     from .tensor import multidegrees
 
     for k in multidegrees(n_triangle_entries(n), d):
-        out.extend(iter_block_relations(n, k, d, variant, field))
+        out.extend(_triangle_relations(n, k, d, variant))
     return out
 
 
@@ -169,24 +220,11 @@ class RelationBlock:
         return self.matrix.n_cols
 
 
-def dedup_rows(rows: Iterator[Row]) -> list[Row]:
-    """Drop duplicate rows, keeping first-seen order."""
-    seen: set[Row] = set()
-    out: list[Row] = []
-    for row in rows:
-        if row not in seen:
-            seen.add(row)
-            out.append(row)
-    return out
-
-
 def block_rows(
     size: int, k: MultiDegree, d: int, variant: int = 3, field: FieldSpec | None = None
 ) -> list[Row]:
-    """Deduplicated relation rows of one block, deterministic order."""
-    return dedup_rows(
-        rel.monomials() for rel in iter_block_relations(size, k, d, variant, field)
-    )
+    """Deduplicated relation rows of one block, in first-seen order."""
+    return list(dict.fromkeys(iter_block_relations(size, k, d, variant, field)))
 
 
 def assemble_relation_block(
@@ -203,12 +241,12 @@ def assemble_relation_block(
     """
     _check_variant(variant, field)
     monomials = enumerate_block_monomials(n, tuple(k))
-    index = {m: c for c, m in enumerate(monomials)}
     rows = block_rows(n, tuple(k), d, variant, field)
-    entries = [
-        (r, index[m], 1) for r, row in enumerate(rows) for m in row
-    ]
-    matrix = SparseMatrix.from_entries(len(rows), len(monomials), field, entries)
+    one = field.one()
+    # rows are sorted and duplicate-free, as SparseMatrix requires
+    matrix = SparseMatrix(
+        len(rows), len(monomials), field, tuple(tuple((c, one) for c in row) for row in rows)
+    )
     return RelationBlock(
         n=n,
         k=tuple(k),
@@ -247,10 +285,7 @@ def write_block_matrix_text(
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
     try:
         with os.fdopen(fd, "w") as body:
-            for rel in iter_block_relations(n, tuple(k), d, variant, field):
-                cols = tuple(
-                    sorted(rank_in_block(m.entries, tuple(k)) for m in rel.monomials())
-                )
+            for cols in iter_block_relations(n, tuple(k), d, variant, field):
                 if cols in seen:
                     continue
                 seen.add(cols)
@@ -270,24 +305,17 @@ def write_block_matrix_text(
 
 def block_row_count(size: int, k: MultiDegree, d: int, variant: int = 3) -> int:
     """Number of raw (pre-dedup) relations in a block, by counting fills."""
-    n_pos = n_triangle_entries(size)
-    if sum(k) != n_pos:
-        raise DegreeMismatch(f"multidegree {k} does not sum to {n_pos}")
+    _check_block(size, k)
     if size < 3:
         return 0
     import math
 
+    n_pos = n_triangle_entries(size)
     n_triples = math.comb(size, 3)
     total = 0
     for occ in _occupant_multisets(d, variant):
-        remaining = list(k)
-        ok = True
-        for v in occ:
-            remaining[v - 1] -= 1
-            if remaining[v - 1] < 0:
-                ok = False
-                break
-        if not ok:
+        remaining = _fill_counts(k, occ)
+        if remaining is None:
             continue
         fills = math.factorial(n_pos - 3)
         for x in remaining:

@@ -5,7 +5,7 @@ The open case is the 15-entry block with five of each letter over a
 relation rows of at most six unit entries.  Everything here streams;
 nothing materializes the full matrix.
 
-The rank is taken in three phases, all exact over GF(p):
+The rank is taken in three phases, all exact over GF(p) or Q:
 
   peel   - single-entry rows kill their column class outright and
            two-entry rows identify two classes up to a unit (weighted
@@ -17,11 +17,13 @@ The rank is taken in three phases, all exact over GF(p):
            with dict-backed sparse reduction.
   total  - rank = merges + class deaths + core rank.
 
-Progress checkpoards (pickle under the cache directory) make the run
-resumable; a time budget stops at the next checkpoint.  The reported
-dimension over GF(p) upper-bounds the rational dimension.  The block is
-parameterizable so the identical pipeline is exercised on small blocks
-by the tests; the defaults are the open case.
+Progress checkpoints (pickle under the cache directory) make the run
+resumable; a time budget stops at the next checkpoint, and an unreadable
+or mismatched checkpoint is ignored.  A run over GF(p) reports a
+dimension that upper-bounds the rational one; a run with ``p = None``
+is exact over Q.  The block is parameterizable so the identical pipeline
+is exercised on small blocks by the tests; the defaults are the open
+case.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from .cache import resolve_cache_dir
 from .errors import ResourceLimit
 from .fields import FieldSpec
 from .relations import iter_block_relations
-from .tensor import count_block_monomials, rank_in_block
+from .tensor import count_block_monomials
+from .tensor import rank_in_block  # noqa: F401  unused here; perfbench/spans.py wraps this name
 
 _ONE_Q = Fraction(1)
 
@@ -66,13 +69,6 @@ MAX_BASIS_ENTRIES = 120_000_000
 
 def stretch_column_count() -> int:
     return CONJECTURE_BLOCK.columns()
-
-
-def _iter_rows(block: StretchBlock, variant: int = 3):
-    for rel in iter_block_relations(block.n, block.k, block.d, variant):
-        yield tuple(
-            sorted(rank_in_block(m.entries, block.k) for m in rel.monomials())
-        )
 
 
 class _SignedUnionFind:
@@ -195,12 +191,31 @@ def _save(state: StretchState, cache_dir) -> None:
     tmp.replace(path)
 
 
-def _load(cache_dir, block: StretchBlock, p: int, variant: int) -> StretchState | None:
+def _load(
+    cache_dir, block: StretchBlock, p: int | None, variant: int, progress=None
+) -> StretchState | None:
+    """The saved state for this run, or None to start fresh.
+
+    A truncated or corrupt file, or one saved for another block, field
+    or variant, is ignored, with a message through ``progress``.
+    """
     path = _checkpoint_path(cache_dir, block, p, variant)
     if not path.exists():
         return None
-    with open(path, "rb") as fh:
-        return pickle.load(fh)
+    try:
+        with open(path, "rb") as fh:
+            state = pickle.load(fh)
+    except (EOFError, pickle.UnpicklingError) as exc:
+        problem = f"unreadable ({exc})"
+    else:
+        if isinstance(state, StretchState) and (state.block, state.p, state.variant) == (
+            block, p, variant
+        ):
+            return state
+        problem = "saved for another block, field or variant"
+    if progress:
+        progress(f"ignoring checkpoint {path.name}: {problem}; starting fresh")
+    return None
 
 
 @dataclass(frozen=True)
@@ -241,7 +256,7 @@ def stretch_rank(
     def out_of_time() -> bool:
         return time_budget is not None and time.monotonic() - t0 > time_budget
 
-    state = _load(cache_dir, block, p, variant)
+    state = _load(cache_dir, block, p, variant, progress)
     if state is None:
         n_cols = block.columns()
         uf = _SignedUnionFind(p, n_cols)
@@ -279,7 +294,7 @@ def stretch_rank(
         # simply restart the stream against the saved classes on resume.
         stash_set = set()
         count = 0
-        for cols in _iter_rows(block, variant):
+        for cols in iter_block_relations(block.n, block.k, block.d, variant):
             count += 1
             items = uf.reduce_row(cols)
             if not uf.absorb(items):

@@ -14,12 +14,15 @@ columns and pivots reproducible across runs and machines.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import DegreeMismatch, ShapeMismatch
 
@@ -284,15 +287,20 @@ def multidegrees(total: int, d: int) -> Iterator[MultiDegree]:
             yield (first,) + rest
 
 
+def _multinomial(counts: Sequence[int]) -> int:
+    """Number of words with the given letter counts."""
+    out = math.factorial(sum(counts))
+    for x in counts:
+        out //= math.factorial(x)
+    return out
+
+
 def count_block_monomials(size: int, k: MultiDegree) -> int:
     """Multinomial count of monomials with letter multiplicities k."""
     n = n_triangle_entries(size)
     if sum(k) != n or any(x < 0 for x in k):
         raise DegreeMismatch(f"multidegree {k} does not sum to {n}")
-    out = math.factorial(n)
-    for x in k:
-        out //= math.factorial(x)
-    return out
+    return _multinomial(k)
 
 
 def _words_with_counts(counts: list[int]) -> Iterator[tuple[int, ...]]:
@@ -345,6 +353,54 @@ def rank_in_block(entries: tuple[int, ...], k: MultiDegree) -> int:
         counts[e - 1] -= 1
         remaining -= 1
     return rank
+
+
+@lru_cache(maxsize=64)
+def _rank_table(k: MultiDegree) -> tuple[np.ndarray, np.ndarray, int]:
+    """Lookup tables for :func:`rank_words_in_block`.
+
+    A remaining-count vector c <= k is coded in mixed radix,
+    code(c) = sum c[l] * stride[l].  ``below[code(c), e - 1]`` is the
+    number of words with counts c that start with a letter below e.
+    Returns (below, stride, code(k)).
+    """
+    stride = [1] * len(k)
+    for l in range(len(k) - 2, -1, -1):
+        stride[l] = stride[l + 1] * (k[l + 1] + 1)
+    n_codes = stride[0] * (k[0] + 1)
+    # counts shrink as letters are placed, so the block's own word count
+    # bounds every table entry and every rank
+    dtype = np.int64 if _multinomial(k) < 2**63 else object
+    below = np.zeros((n_codes, len(k)), dtype=dtype)
+    for counts in itertools.product(*(range(x + 1) for x in k)):
+        remaining = sum(counts)
+        if not remaining:
+            continue
+        words = _multinomial(counts)
+        code = sum(c * s for c, s in zip(counts, stride))
+        acc = 0
+        for letter, c in enumerate(counts):
+            below[code, letter] = acc
+            acc += words * c // remaining
+    below.flags.writeable = False  # shared by every caller through the cache
+    return below, np.array(stride, dtype=np.int64), sum(x * s for x, s in zip(k, stride))
+
+
+def rank_words_in_block(words: np.ndarray, k: MultiDegree) -> np.ndarray:
+    """:func:`rank_in_block` of every row of an integer array at once.
+
+    ``words`` has one entry word (letters 1..len(k), multidegree k) per
+    row.  The rank is the sum, over positions, of the words that branch
+    off below the letter placed there, read from a table indexed by the
+    counts still to place.
+    """
+    below, stride, full = _rank_table(tuple(k))
+    letters = np.asarray(words, dtype=np.int64) - 1
+    steps = stride[letters]
+    # code of the counts left before each position: full minus the
+    # letters already placed
+    before = full - (np.cumsum(steps, axis=1) - steps)
+    return below[before, letters].sum(axis=1)
 
 
 def unrank_in_block(rank: int, size: int, k: MultiDegree) -> TriMonomial:

@@ -21,6 +21,7 @@ from gsc.relations import block_rows
 from gsc.tensor import (
     TriElement,
     TriMonomial,
+    enumerate_block_monomials,
     expand_multilinear,
     triangle_positions,
 )
@@ -145,7 +146,12 @@ def test_closure_under_diamond(cfg):
     from gsc.diamond import diamond, random_tri_element
 
     rng = random.Random(13)
-    rows = block_rows(3, (2, 1), 2) + block_rows(3, (1, 2), 2) + block_rows(3, (3, 0), 2)
+    rows = [
+        tuple(monos[c] for c in row)
+        for k in ((2, 1), (1, 2), (3, 0))
+        for monos in [enumerate_block_monomials(3, k)]
+        for row in block_rows(3, k, 2)
+    ]
     for _ in range(40):
         row = rows[rng.randrange(len(rows))]
         r = TriElement(3, {m: 1 for m in row})

@@ -4,27 +4,77 @@ from gsc.errors import CharacteristicUnsupported, DegreeMismatch
 from gsc.fields import FieldSpec
 from gsc.relations import (
     TriangleRelation,
+    _triangle_relations,
     assemble_relation_block,
     block_row_count,
     block_rows,
     iter_block_relations,
     relation_generators,
+    write_block_matrix_text,
 )
-from gsc.tensor import TriMonomial, multidegree_of
+from gsc.sparse import write_matrix_text
+from gsc.tensor import (
+    TriMonomial,
+    enumerate_block_monomials,
+    multidegree_of,
+    multidegrees,
+    n_triangle_entries,
+    rank_in_block,
+)
 
 Q = FieldSpec.rational()
 
 
+def as_monomials(n, k, rows):
+    """Integer rows mapped back to the block's monomials."""
+    monos = enumerate_block_monomials(n, k)
+    return [tuple(monos[c] for c in row) for row in rows]
+
+
+def reference_rows(n, k, d):
+    """The rows built the readable way: relation objects, scalar ranks."""
+    return [
+        tuple(sorted(rank_in_block(m.entries, k) for m in rel.monomials()))
+        for rel in _triangle_relations(n, k, d)
+    ]
+
+
+@pytest.mark.parametrize("n,d", [(n, d) for n in (3, 4, 5) for d in (1, 2, 3)])
+def test_integer_rows_match_reference_model_on_every_block(n, d):
+    # n = 3 has an empty fill; d = 3 at n = 3, 4 has zero letter counts
+    for k in multidegrees(n_triangle_entries(n), d):
+        assert list(iter_block_relations(n, k, d)) == reference_rows(n, k, d), k
+
+
+@pytest.mark.parametrize(
+    "n,k,d", [(6, (10, 4, 1), 3), (4, (2, 2, 1, 1), 4), (4, (4, 2, 0), 3), (3, (2, 1, 0), 3)]
+)
+def test_integer_rows_match_reference_model(n, k, d):
+    rows = list(iter_block_relations(n, k, d))
+    assert rows and rows == reference_rows(n, k, d)
+    assert len(rows) == block_row_count(n, k, d)
+
+
+@pytest.mark.parametrize("field", [Q, FieldSpec.prime(1_000_003)])
+@pytest.mark.parametrize("n,k,d", [(3, (2, 1), 2), (4, (3, 2, 1), 3), (5, (4, 4, 2), 3)])
+def test_streamed_export_matches_in_memory_text(tmp_path, field, n, k, d):
+    path = tmp_path / "block.txt"
+    shape = write_block_matrix_text(n, k, d, field, path)
+    blk = assemble_relation_block(n, k, d, field)
+    assert shape == (blk.n_rows, blk.n_monomials)
+    assert path.read_bytes() == write_matrix_text(blk.matrix).encode()
+
+
 def test_single_letter_block_has_one_singleton_row():
     rows = block_rows(3, (3,), 1)
-    assert rows == [(TriMonomial(3, (1, 1, 1)),)]
+    assert as_monomials(3, (3,), rows) == [(TriMonomial(3, (1, 1, 1)),)]
     for variant in (1, 2, 3):
         assert relation_generators(3, 1, variant)[0].occupants == (1, 1, 1)
 
 
 def test_distinct_letters_block_is_one_six_term_row():
     for variant in (1, 2, 3):
-        rows = block_rows(3, (1, 1, 1), 3, variant)
+        rows = as_monomials(3, (1, 1, 1), block_rows(3, (1, 1, 1), 3, variant))
         assert len(rows) == 1
         assert len(rows[0]) == 6
         assert {m.entries for m in rows[0]} == {
@@ -45,14 +95,14 @@ def test_no_relations_below_size_three():
 def test_row_term_counts_and_coefficients():
     # every row sums distinct arrangements with unit coefficients
     for k in ((3, 3), (4, 2), (2, 4)):
-        for row in block_rows(4, k, 2):
+        for row in as_monomials(4, k, block_rows(4, k, 2)):
             assert len(row) in (1, 3, 6)
             assert all(multidegree_of(m, 2) == k for m in row)
 
 
 def test_rows_stay_within_one_block():
-    for rel in iter_block_relations(4, (3, 2, 1), 3):
-        degs = {multidegree_of(m, 3) for m in rel.monomials()}
+    for row in as_monomials(4, (3, 2, 1), iter_block_relations(4, (3, 2, 1), 3)):
+        degs = {multidegree_of(m, 3) for m in row}
         assert degs == {(3, 2, 1)}
 
 

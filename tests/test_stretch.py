@@ -5,6 +5,7 @@ from gsc.stretch import (
     CONJECTURE_BLOCK,
     StretchBlock,
     _SignedUnionFind,
+    _checkpoint_path,
     stretch_column_count,
     stretch_rank,
 )
@@ -87,3 +88,23 @@ def test_rational_and_prime_pipelines_agree(tmp_path):
         rq = stretch_rank(FieldSpec.rational(), cache_dir=tmp_path / "q", block=block)
         rp = stretch_rank(GFP, cache_dir=tmp_path / "p", block=block)
         assert rq.rank == rp.rank and rq.dimension == rp.dimension
+
+
+def test_truncated_or_mismatched_checkpoint_starts_fresh(tmp_path):
+    block = StretchBlock(n=4, k=(3, 3), d=2)
+    want = stretch_rank(GFP, cache_dir=tmp_path, block=block)
+    path = _checkpoint_path(tmp_path, block, GFP.p, 3)
+    other = StretchBlock(n=4, k=(2, 2, 2), d=3)
+    stretch_rank(GFP, cache_dir=tmp_path / "other", block=other)
+    foreign = _checkpoint_path(tmp_path / "other", other, GFP.p, 3).read_bytes()
+    for bad, reason in ((path.read_bytes()[:100], "unreadable"), (foreign, "another block")):
+        path.write_bytes(bad)
+        messages = []
+        rep = stretch_rank(GFP, cache_dir=tmp_path, block=block, progress=messages.append)
+        assert rep.finished
+        assert (rep.rank, rep.dimension, rep.peel_rank) == (want.rank, want.dimension, want.peel_rank)
+        assert any("ignoring checkpoint" in m and reason in m for m in messages), messages
+        assert not any(m.startswith("resumed") for m in messages)
+    # without a progress callback the bad file is still ignored
+    path.write_bytes(b"")
+    assert stretch_rank(GFP, cache_dir=tmp_path, block=block).rank == want.rank

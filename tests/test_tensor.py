@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from gsc.tensor import (
     multidegrees,
     n_triangle_entries,
     rank_in_block,
+    rank_words_in_block,
     triangle_positions,
     unrank_in_block,
 )
@@ -91,6 +93,28 @@ def test_rank_unrank_bijection():
     for idx, m in enumerate(monos):
         assert rank_in_block(m.entries, (3, 2, 1)) == idx
         assert unrank_in_block(idx, 4, (3, 2, 1)) == m
+
+
+@pytest.mark.parametrize(
+    "size,k", [(3, (2, 1)), (4, (3, 2, 1)), (4, (4, 2, 0)), (4, (2, 2, 1, 1)), (5, (4, 4, 2))]
+)
+def test_vectorized_rank_matches_scalar_on_every_word(size, k):
+    words = [m.entries for m in enumerate_block_monomials(size, k)]
+    got = rank_words_in_block(np.array(words), k).tolist()
+    assert got == [rank_in_block(w, k) for w in words]
+    # shuffled rows rank independently of each other
+    perm = np.random.default_rng(0).permutation(len(words))
+    assert rank_words_in_block(np.array(words)[perm], k).tolist() == [got[i] for i in perm]
+
+
+def test_vectorized_rank_beyond_int64():
+    # 45 positions, 15 of each letter: more words than an int64 holds
+    k = (15, 15, 15)
+    total = count_block_monomials(10, k)
+    assert total >= 2**63
+    ranks = [0, 123_456_789, 2**63 + 5, total - 1]
+    words = np.array([unrank_in_block(r, 10, k).entries for r in ranks])
+    assert rank_words_in_block(words, k).tolist() == ranks
 
 
 @given(st.integers(0, 756755))
