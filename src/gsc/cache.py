@@ -4,7 +4,7 @@ Layout: one directory per (schema-version, d, n, k, field, variant) key
 under the cache root (argument > GSC_CACHE_DIR > ./.gsc-cache), holding
 ``report.json`` and optionally ``echelon.json`` + ``echelon.mtx`` (the
 sparse-matrix text format).  Writes are atomic (temp file + rename), so
-concurrent insert-if-absent from worker threads is safe: last writer
+concurrent insert-if-absent from several threads is safe: last writer
 wins with identical content.
 """
 
@@ -18,7 +18,9 @@ from pathlib import Path
 from .fields import FieldSpec
 from .sparse import EchelonForm, SparseMatrix, read_matrix_text, write_matrix_text
 
-SCHEMA_VERSION = 1
+# Schema 1 reports could hold a multi-prime upper bound for a rational
+# request; they live under v1/ and are never read.
+SCHEMA_VERSION = 2
 ENV_VAR = "GSC_CACHE_DIR"
 DEFAULT_DIR = ".gsc-cache"
 

@@ -102,7 +102,6 @@ variant_option = click.option(
     "--variant", type=click.Choice(["1", "2", "3"]), default="3", show_default=True,
     help="Relation generating set.",
 )
-threads_option = click.option("--threads", type=int, default=1, show_default=True)
 cache_option = click.option(
     "--cache-dir", default=None, help="Block cache directory (default $GSC_CACHE_DIR or ./.gsc-cache)."
 )
@@ -124,18 +123,15 @@ def main() -> None:
 @variant_option
 @click.option("--per-block", is_flag=True, help="Also list every multidegree block.")
 @click.option("--no-shortcut", is_flag=True, help="Disable pruning; verify zeros by elimination.")
-@threads_option
 @format_option
 @cache_option
-def cmd_dims(d, max_arity, field, variant, per_block, no_shortcut, threads, fmt, cache_dir):
+def cmd_dims(d, max_arity, field, variant, per_block, no_shortcut, fmt, cache_dir):
     """Total and per-block quotient dimensions for arities 1..max."""
     if d < 1:
         raise click.UsageError("--d must be >= 1")
     fieldspec = _parse_field(field)
     max_arity = max_arity if max_arity is not None else 2 * d + 1
-    cfg = QuotientConfig(
-        variant=int(variant), threads=threads, cache_dir=cache_dir, no_shortcut=no_shortcut
-    )
+    cfg = QuotientConfig(variant=int(variant), cache_dir=cache_dir, no_shortcut=no_shortcut)
     records, totals = [], []
     try:
         for m in range(1, max_arity + 1):
@@ -156,18 +152,16 @@ def cmd_dims(d, max_arity, field, variant, per_block, no_shortcut, threads, fmt,
 @main.command("verify-paper")
 @field_option
 @variant_option
-@threads_option
 @click.option("--seed", type=int, default=20240, show_default=True)
 @click.option("--trials", type=int, default=500, show_default=True, help="Law-suite trials.")
 @click.option("--stretch", is_flag=True, help="Also run the long conjecture-block computation.")
 @click.option("--stretch-budget", type=float, default=None, help="Seconds before checkpoint-and-stop.")
 @cache_option
-def cmd_verify_paper(field, variant, threads, seed, trials, stretch, stretch_budget, cache_dir):
+def cmd_verify_paper(field, variant, seed, trials, stretch, stretch_budget, cache_dir):
     """Recompute every published value and print pass/fail per claim."""
     ctx = AcceptanceContext(
         table_field=_parse_field(field),
         cache_dir=cache_dir,
-        threads=threads,
         variant=int(variant),
         trials=trials,
         seed=seed,

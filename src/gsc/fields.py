@@ -15,8 +15,8 @@ from fractions import Fraction
 # characteristic restriction on the polarized generating sets never bites.
 DEFAULT_PRIME = 1_000_003
 
-# Distinct primes used for multi-prime evidence on blocks too large for
-# rational elimination.
+# Distinct primes for prime-field runs: the three-field cross-check of the
+# n=5 table blocks, the no-shortcut zero checks, and the open block.
 MULTI_PRIME_SET = (1_000_003, 1_000_033, 1_000_037)
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 from .cache import BlockCache
@@ -24,6 +23,7 @@ from .sparse import (
     DEFAULT_LIMITS,
     EchelonForm,
     RunLimits,
+    check_columns,
     rank_sparse,
     rref_sparse,
 )
@@ -44,10 +44,7 @@ class BlockReport:
     """The unit of output: one multidegree block's dimension data.
 
     ``certified`` records how the number is known: "exact" (elimination
-    over the requested field), "pruned" (letter count reaches the size),
-    or "multi-prime upper bound" (a rational request too wide for exact
-    rational elimination, answered by agreement over three primes; the
-    value bounds the rational dimension from above, and a zero is exact).
+    over the requested field) or "pruned" (letter count reaches the size).
     """
 
     d: int
@@ -101,17 +98,14 @@ class BlockReport:
 class QuotientConfig:
     """Shared read-only configuration for block computations.
 
-    Rational requests on blocks wider than ``rational_exact_cols`` are
-    answered by three-prime agreement (a certified upper bound on the
-    rational dimension) instead of exact rational elimination.
+    Every block is eliminated over the requested field; ``limits``
+    refuses blocks too wide for that field before they are assembled.
     """
 
     variant: int = 3
-    threads: int = 1
     cache_dir: object = None
     limits: RunLimits = dc_field(default_factory=lambda: DEFAULT_LIMITS)
     no_shortcut: bool = False
-    rational_exact_cols: int = 600
 
     def cache(self) -> BlockCache:
         return BlockCache(self.cache_dir)
@@ -154,8 +148,7 @@ def block_dimension(
     k = tuple(k)
     shortcut = not cfg.no_shortcut
     n_monomials = count_block_monomials(n, k)
-    wants_exact_rational = field.is_rational and n_monomials <= cfg.rational_exact_cols
-    key = ("report", d, n, k, field, variant, shortcut, wants_exact_rational)
+    key = ("report", d, n, k, field, variant, shortcut)
     hit = _mem_get(key)
     if hit is not None:
         return hit
@@ -164,10 +157,8 @@ def block_dimension(
         obj = cache.load_report(d, n, k, field, variant)
         if obj is not None:
             rep = BlockReport.from_json(obj)
-            # an upper-bound report cannot satisfy an exact-capable request
-            if not (wants_exact_rational and rep.certified.startswith("multi-prime")):
-                _mem_put(key, rep)
-                return rep
+            _mem_put(key, rep)
+            return rep
     if shortcut and block_pruned(n, k):
         rep = BlockReport(
             d=d,
@@ -183,39 +174,11 @@ def block_dimension(
             pruned=True,
             certified="pruned",
         )
-    elif field.is_rational and n_monomials > cfg.rational_exact_cols:
-        from .fields import multi_prime_fields
-
-        t0 = time.monotonic()
-        prime_reps = [
-            block_dimension(n, k, d, f, variant, cfg) for f in multi_prime_fields()
-        ]
-        dimension = min(r.dimension for r in prime_reps)
-        rep = BlockReport(
-            d=d,
-            n=n,
-            k=k,
-            n_monomials=n_monomials,
-            n_rows=prime_reps[0].n_rows,
-            rank=n_monomials - dimension,
-            dimension=dimension,
-            field=field,
-            variant=variant,
-            millis=int((time.monotonic() - t0) * 1000),
-            certified="multi-prime upper bound ("
-            + ", ".join(str(r.field.p) for r in prime_reps)
-            + ")",
-        )
     else:
-        if field.is_rational and n_monomials > cfg.limits.max_rational_cols:
-            raise ResourceLimit(
-                f"block n={n} k={k}: rational elimination refused on "
-                f"{n_monomials} columns (limit {cfg.limits.max_rational_cols}); "
-                "use prime fields"
-            )
         t0 = time.monotonic()
-        block = assemble_relation_block(n, k, d, field, variant)
         try:
+            check_columns(n_monomials, field, cfg.limits)
+            block = assemble_relation_block(n, k, d, field, variant)
             rank = rank_sparse(block.matrix, cfg.limits)
         except ResourceLimit as exc:
             raise ResourceLimit(f"block n={n} k={k} over {field}: {exc}") from exc
@@ -265,16 +228,10 @@ def total_dimension(
     n = m - 1
     if m > 2 * d + 1 and not cfg.no_shortcut:
         return ArityDimension(arity=m, total=0, blocks=(), shortcut_zero=True)
-    ks = list(multidegrees(n_triangle_entries(n), d))
-
-    def one(k):
-        return block_dimension(n, k, d, field, variant, cfg)
-
-    if cfg.threads > 1 and len(ks) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            blocks = list(pool.map(one, ks))
-    else:
-        blocks = [one(k) for k in ks]
+    blocks = [
+        block_dimension(n, k, d, field, variant, cfg)
+        for k in multidegrees(n_triangle_entries(n), d)
+    ]
     return ArityDimension(
         arity=m, total=sum(b.dimension for b in blocks), blocks=tuple(blocks)
     )

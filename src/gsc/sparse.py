@@ -1,13 +1,10 @@
 """Sparse matrices over Q or GF(p): exact rank, reduced echelon forms.
 
-Two engines live here.  The reference engine is pure-Python sparse
-elimination with a Markowitz-style least-fill pivot chosen within the
-leftmost eligible column (relation blocks have at most 6 nonzeros per
-row, so fill-in dominates cost).  For prime fields and wide matrices a
-dense numpy engine takes over: batched Gauss-Jordan where trailing
-updates are float64 matmuls, exact because p**2 * panel_width stays
-below 2**53.  Both engines are deterministic and agree; the tests
-cross-check them.
+One engine lives here: pure-Python sparse elimination with a
+Markowitz-style least-fill pivot chosen within the leftmost eligible
+column.  Relation blocks have at most 6 nonzeros per row, so fill-in
+dominates cost and least-fill pivoting keeps it small.  Elimination is
+exact over every field and deterministic.
 """
 
 from __future__ import annotations
@@ -20,17 +17,9 @@ from typing import Iterable, Iterator
 from .errors import ResourceLimit, ShapeMismatch
 from .fields import FieldSpec
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a hard dependency in practice
-    _np = None
-
-# Columns at which rank_sparse switches to the dense engine (prime fields only).
-DENSE_COLUMN_THRESHOLD = 600
-
-# Above this the dense basis would not fit in memory; the streaming
+# Prime-field matrices wider than this are refused; the streaming
 # stretch path is the way to attack such blocks.
-DENSE_MAX_COLUMNS = 50_000
+MAX_PRIME_COLUMNS = 50_000
 
 
 @dataclass(frozen=True)
@@ -38,7 +27,8 @@ class RunLimits:
     """Resource guards for elimination.
 
     ``max_rational_cols``: rational elimination on wider matrices is
-    refused; callers use multi-prime GF(p) evidence instead.
+    refused; callers use a prime field instead, whose dimension
+    upper-bounds the rational one.
     ``max_entries``: crude memory budget on stored nonzeros.
     """
 
@@ -157,12 +147,22 @@ class EchelonForm:
         return {c: v for c, v in out.items() if v}
 
 
-def _check_limits(m: SparseMatrix, limits: RunLimits) -> None:
-    if m.field.is_rational and m.n_cols > limits.max_rational_cols:
+def check_columns(n_cols: int, field: FieldSpec, limits: RunLimits) -> None:
+    """Refuse elimination on ``n_cols`` columns over ``field`` if too wide."""
+    if field.is_rational and n_cols > limits.max_rational_cols:
         raise ResourceLimit(
-            f"rational elimination refused on {m.n_cols} columns "
+            f"rational elimination refused on {n_cols} columns "
             f"(limit {limits.max_rational_cols}); use prime fields"
         )
+    if not field.is_rational and n_cols > MAX_PRIME_COLUMNS:
+        raise ResourceLimit(
+            f"prime-field elimination refused on {n_cols} columns "
+            f"(limit {MAX_PRIME_COLUMNS}); use the streaming stretch path"
+        )
+
+
+def _check_limits(m: SparseMatrix, limits: RunLimits) -> None:
+    check_columns(m.n_cols, m.field, limits)
     if m.n_entries > limits.max_entries:
         raise ResourceLimit(
             f"{m.n_entries} stored entries exceed budget {limits.max_entries}"
@@ -248,184 +248,9 @@ def _sparse_eliminate(
     return pivot_cols, pivot_rows
 
 
-# ---------------------------------------------------------------------------
-# Dense GF(p) engine
-
-
-def _mod_p_inplace(a, p: float) -> None:
-    """Exact in-place reduction of nonnegative float64 ints below 2**53."""
-    tmp = _np.floor(a * (1.0 / p))
-    tmp *= p
-    a -= tmp
-    # floor() on the rounded quotient can be off by one either way
-    _np.add(a, p, out=a, where=a < 0)
-    _np.subtract(a, p, out=a, where=a >= p)
-
-
-class DenseGFpRref:
-    """Streaming reduced row-echelon accumulator over GF(p), float64-backed.
-
-    Rows arrive in batches; each batch is reduced against the fully
-    reduced basis with one matmul, new pivots are found by
-    rank-one sweeps inside small panels, and the basis is kept in RREF.
-    All values stay exact: p**2 * accumulation_width < 2**53.
-    """
-
-    PANEL = 128
-    K_CHUNK = 4000
-
-    def __init__(self, p: int, n_cols: int, max_rank: int | None = None):
-        if _np is None:
-            raise ResourceLimit("numpy unavailable for dense elimination")
-        if p * float(p) * self.K_CHUNK >= 2.0**53:
-            raise ValueError(f"prime {p} too large for exact float64 accumulation")
-        self.p = p
-        self.n_cols = n_cols
-        cap = min(max_rank if max_rank is not None else n_cols, n_cols)
-        self.basis = _np.zeros((cap, n_cols), dtype=_np.float64)
-        self.pivot_cols: list[int] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_cols)
-
-    @property
-    def full(self) -> bool:
-        return self.rank >= self.n_cols
-
-    def _matmul_reduce(self, rows, coeff_cols, block) -> None:
-        """rows -= rows[:, coeff_cols] @ block  (mod p), K-chunked.
-
-        Requires ``block`` to be fully reduced: block row j is zero at
-        every pivot column except its own (where it is 1), so one pass
-        zeroes all of ``coeff_cols`` in ``rows`` exactly.
-        """
-        k = len(coeff_cols)
-        for s in range(0, k, self.K_CHUNK):
-            e = min(s + self.K_CHUNK, k)
-            f = rows[:, coeff_cols[s:e]]
-            if not f.any():
-                continue
-            rows -= f @ block[s:e]
-            _mod_p_inplace(rows, self.p)
-
-    def _absorb_panel(self, panel) -> list[int]:
-        """Full Gauss-Jordan inside a panel; returns new pivot row indices.
-
-        On return the pivot rows of the panel are mutually reduced, so
-        they extend the basis without breaking its RREF invariant.
-        """
-        p = self.p
-        pivot_rows: list[int] = []
-        for i in range(panel.shape[0]):
-            row = panel[i]
-            nz = _np.nonzero(row)[0]
-            if nz.size == 0:
-                continue
-            c = int(nz[0])
-            inv = pow(int(row[c]), p - 2, p)
-            if inv != 1:
-                row *= inv
-                _mod_p_inplace(row, p)
-            coeffs = panel[:, c].copy()
-            coeffs[i] = 0.0
-            hit = _np.nonzero(coeffs)[0]
-            if hit.size:
-                sub = panel[hit] - coeffs[hit, None] * row[None, :]
-                _mod_p_inplace(sub, p)
-                panel[hit] = sub
-            pivot_rows.append(i)
-        return pivot_rows
-
-    def add_batch(self, batch) -> None:
-        """Absorb a (b, n_cols) array of ints (any sign, any int dtype).
-
-        New pivots are collected per panel as "generations": a later
-        panel is reduced against earlier generations before its own
-        sweep (sound because each generation's rows were clean with
-        respect to all earlier pivots when frozen).  The basis append
-        and its back-elimination happen once per batch.
-        """
-        if self.full:
-            return
-        rows = _np.asarray(batch, dtype=_np.float64)
-        _mod_p_inplace(rows, self.p)
-        if self.pivot_cols:
-            self._matmul_reduce(rows, self.pivot_cols, self.basis[: self.rank])
-        gens: list[tuple[list[int], object]] = []
-        gen_total = 0
-        for s in range(0, rows.shape[0], self.PANEL):
-            panel = rows[s : s + self.PANEL]
-            for gcols, grows in gens:
-                self._matmul_reduce(panel, gcols, grows)
-            keep = self._absorb_panel(panel)
-            if keep:
-                block = panel[keep]
-                gcols = [int(_np.nonzero(r)[0][0]) for r in block]
-                gens.append((gcols, block))
-                gen_total += len(keep)
-                if self.rank + gen_total >= self.n_cols:
-                    break
-        if not gens:
-            return
-        new_cols = [c for gcols, _ in gens for c in gcols]
-        new_block = _np.vstack([grows for _, grows in gens])
-        # reverse pass: clear later generations' pivot columns out of
-        # earlier generations, making the union internally reduced
-        offsets = []
-        pos = 0
-        for gcols, _ in gens:
-            offsets.append(pos)
-            pos += len(gcols)
-        for i in range(len(gens) - 2, -1, -1):
-            seg = new_block[offsets[i] : offsets[i + 1]]
-            tail_start = offsets[i + 1]
-            self._matmul_reduce(seg, new_cols[tail_start:], new_block[tail_start:])
-        self._append(new_block, new_cols)
-
-    def _append(self, new_block, new_cols) -> None:
-        """Append an internally reduced pivot block; keep the basis RREF."""
-        r = self.rank
-        if r:
-            self._matmul_reduce(self.basis[:r], new_cols, new_block)
-        need = r + new_block.shape[0]
-        if need > self.basis.shape[0]:
-            grown = _np.zeros((max(need, 2 * self.basis.shape[0]), self.n_cols))
-            grown[:r] = self.basis[:r]
-            self.basis = grown
-        self.basis[r:need] = new_block
-        self.pivot_cols.extend(new_cols)
-
-
-def _rank_dense_gfp(m: SparseMatrix, batch_rows: int = 1024) -> int:
-    p = m.field.p
-    acc = DenseGFpRref(p, m.n_cols)
-    # sparsest rows first: singleton rows pivot without fill, so the
-    # early basis stays cheap to reduce against
-    order = sorted(range(m.n_rows), key=lambda r: (len(m.rows[r]), r))
-    for s in range(0, m.n_rows, batch_rows):
-        if acc.full:
-            break
-        chunk = order[s : s + batch_rows]
-        block = _np.zeros((len(chunk), m.n_cols))
-        for i, r in enumerate(chunk):
-            for c, v in m.rows[r]:
-                block[i, c] = v
-        acc.add_batch(block)
-    return acc.rank
-
-
 def rank_sparse(m: SparseMatrix, limits: RunLimits = DEFAULT_LIMITS) -> int:
     """Exact rank of ``m`` over its field; deterministic elimination."""
     _check_limits(m, limits)
-    if not m.field.is_rational and m.n_cols >= DENSE_COLUMN_THRESHOLD:
-        if m.n_cols > DENSE_MAX_COLUMNS:
-            raise ResourceLimit(
-                f"{m.n_cols} columns exceed the dense engine budget "
-                f"({DENSE_MAX_COLUMNS}); use the streaming stretch path"
-            )
-        if _np is not None:
-            return _rank_dense_gfp(m)
     pivot_cols, _ = _sparse_eliminate(m, want_reduced=False)
     return len(pivot_cols)
 

@@ -1,3 +1,4 @@
+import json
 import threading
 
 from gsc.cache import BlockCache, resolve_cache_dir
@@ -45,7 +46,7 @@ def test_echelon_round_trip(tmp_path):
 def test_concurrent_insert_if_absent(tmp_path):
     """Worker threads racing on the same block stay consistent."""
     clear_memory_cache()
-    cfg = QuotientConfig(cache_dir=tmp_path / "c", threads=1)
+    cfg = QuotientConfig(cache_dir=tmp_path / "c")
     results = []
 
     def work():
@@ -71,3 +72,21 @@ def test_corrupt_cache_file_ignored(tmp_path):
     clear_memory_cache()
     rep2 = block_dimension(3, (2, 1), 2, Q, config=cfg)
     assert rep2.dimension == rep.dimension
+
+
+def test_schema_1_upper_bound_report_not_served(tmp_path):
+    """A report from the schema-1 layout, which could hold a multi-prime
+    upper bound for a rational request, is never read back."""
+    clear_memory_cache()
+    old = tmp_path / "v1" / "d2" / "n4" / "k3-3" / "q-var3" / "report.json"
+    old.parent.mkdir(parents=True)
+    planted = {
+        "schema": 1, "d": 2, "n": 4, "k": [3, 3], "monomials": 20, "rows": 1,
+        "rank": 15, "dimension": 5, "field": "rational", "variant": 3, "millis": 0,
+        "pruned": False, "certified": "multi-prime upper bound (1000003, 1000033, 1000037)",
+    }
+    old.write_text(json.dumps(planted))
+    rep = block_dimension(4, (3, 3), 2, Q, config=QuotientConfig(cache_dir=tmp_path))
+    clear_memory_cache()
+    assert rep.certified == "exact"
+    assert rep.dimension == 1

@@ -64,6 +64,7 @@ def test_dims_usage_errors(runner):
     assert invoke(runner, ["dims"]).exit_code == 2
     assert invoke(runner, ["dims", "--d", "2", "--field", "prime:4"]).exit_code == 2
     assert invoke(runner, ["dims", "--d", "0"]).exit_code == 2
+    assert invoke(runner, ["dims", "--d", "2", "--threads", "2"]).exit_code == 2
 
 
 def test_dims_rational_resource_refusal_exit_2(runner, tmp_path, monkeypatch):
@@ -81,6 +82,31 @@ def test_dims_rational_resource_refusal_exit_2(runner, tmp_path, monkeypatch):
     assert res.exit_code == 2
     assert "resource limit" in res.output
     assert "k=(3, 3)" in res.output
+
+
+def test_dims_prime_resource_refusal_before_assembly_exit_2(runner, tmp_path, monkeypatch):
+    # the unpruned 756,756-column block at arity 7 is refused over GF(p)
+    # from its column count, before any of its rows are built
+    import gsc.quotient as quotient
+
+    assembled = []
+    real_assemble = quotient.assemble_relation_block
+
+    def recording_assemble(n, k, *args, **kwargs):
+        assembled.append((n, tuple(k)))
+        return real_assemble(n, k, *args, **kwargs)
+
+    quotient.clear_memory_cache()
+    monkeypatch.setattr(quotient, "assemble_relation_block", recording_assemble)
+    res = runner.invoke(
+        main,
+        ["dims", "--d", "3", "--field", "prime:1000003", "--cache-dir", str(tmp_path)],
+    )
+    quotient.clear_memory_cache()
+    assert res.exit_code == 2
+    assert "resource limit" in res.output
+    assert "k=(5, 5, 5)" in res.output
+    assert (6, (5, 5, 5)) not in assembled
 
 
 def test_axioms_smoke_and_exit_zero(runner):
@@ -198,20 +224,3 @@ def test_axioms_exit_one_on_mutated_build(runner, monkeypatch):
     assert res.exit_code == 1
     assert "FAIL" in res.output
     assert "witness" in res.output
-
-
-def test_dims_threads_match_single_thread(runner, tmp_path):
-    one = invoke(
-        runner,
-        ["dims", "--d", "2", "--max-arity", "5", "--per-block", "--format", "json",
-         "--threads", "1", "--cache-dir", str(tmp_path / "t1")],
-    )
-    many = invoke(
-        runner,
-        ["dims", "--d", "2", "--max-arity", "5", "--per-block", "--format", "json",
-         "--threads", "3", "--cache-dir", str(tmp_path / "t3")],
-    )
-    a, b = json.loads(one.output), json.loads(many.output)
-    assert a["totals"] == b["totals"]
-    strip = lambda recs: [{k: v for k, v in r.items() if k != "millis"} for r in recs]
-    assert strip(a["blocks"]) == strip(b["blocks"])

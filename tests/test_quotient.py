@@ -90,19 +90,6 @@ def test_shortcut_skips_high_arity(cfg):
     assert res.total == 0 and res.shortcut_zero and res.blocks == ()
 
 
-def test_total_dimension_parallel_matches_serial(tmp_path):
-    clear_memory_cache()
-    serial = total_dimension(
-        5, 2, Q, config=QuotientConfig(cache_dir=tmp_path / "a", threads=1)
-    )
-    clear_memory_cache()
-    parallel = total_dimension(
-        5, 2, Q, config=QuotientConfig(cache_dir=tmp_path / "b", threads=4)
-    )
-    assert serial.total == parallel.total
-    assert [b.dimension for b in serial.blocks] == [b.dimension for b in parallel.blocks]
-
-
 def test_disk_cache_round_trip(tmp_path):
     clear_memory_cache()
     cfg1 = QuotientConfig(cache_dir=tmp_path / "c")
@@ -220,16 +207,14 @@ def test_lift_agrees_with_projection(cfg):
             assert via_reduce == f.value_on_monomial(m)
 
 
-def test_rational_wide_block_uses_multi_prime_upper_bound(tmp_path):
+def test_rational_wide_block_is_exact(tmp_path):
+    """The widest published d=3 block is eliminated over Q itself."""
     clear_memory_cache()
-    cfg = QuotientConfig(cache_dir=tmp_path / "mp", rational_exact_cols=10)
-    rep = block_dimension(4, (3, 3), 2, Q, config=cfg)
-    assert rep.dimension == 1
-    assert rep.certified.startswith("multi-prime upper bound")
+    rep = block_dimension(5, (4, 3, 3), 3, Q, config=QuotientConfig(cache_dir=tmp_path))
+    assert rep.certified == "exact"
     assert rep.field.is_rational
-    clear_memory_cache()
-    exact = block_dimension(4, (3, 3), 2, Q, config=QuotientConfig(cache_dir=tmp_path / "ex"))
-    assert exact.certified == "exact" and exact.dimension == 1
+    assert rep.dimension == 16
+    assert rep.rank == rep.n_monomials - 16
 
 
 def test_published_blocks_agree_across_fields(cfg):

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-import gsc.sparse as sparse_mod
 from gsc.errors import ResourceLimit
 from gsc.fields import FieldSpec
 from gsc.sparse import (
@@ -82,19 +81,6 @@ def test_rank_rref_agree_and_gfp_bounded_by_rational():
         assert rref_sparse(mp).rank == rank_sparse(mp)
 
 
-def test_dense_engine_matches_sparse_engine(monkeypatch):
-    rng = random.Random(23)
-    for _ in range(60):
-        rows, cols = rng.randint(0, 15), rng.randint(1, 15)
-        p = rng.choice([5, 97, 1000003])
-        m = random_matrix(rng, max(rows, 1), cols, FieldSpec.prime(p, allow_small=True))
-        monkeypatch.setattr(sparse_mod, "DENSE_COLUMN_THRESHOLD", 10**9)
-        r_sparse = rank_sparse(m)
-        monkeypatch.setattr(sparse_mod, "DENSE_COLUMN_THRESHOLD", 0)
-        r_dense = rank_sparse(m)
-        assert r_sparse == r_dense
-
-
 def test_rref_reduce_vector_normal_form():
     m = SparseMatrix.from_dense([[1, 1, 0], [0, 1, 1]], Q)
     ech = rref_sparse(m)
@@ -158,11 +144,15 @@ def test_concurrent_rank_on_distinct_matrices():
     assert got == expected
 
 
-def test_dense_engine_refuses_oversized_basis():
-    import gsc.sparse as sp
+def test_prime_field_refuses_wide_matrix():
+    from gsc.sparse import MAX_PRIME_COLUMNS
 
-    m = SparseMatrix.from_entries(
-        1, sp.DENSE_MAX_COLUMNS + 1, FieldSpec.prime(97), [(0, 0, 1)]
+    at_limit = SparseMatrix.from_entries(
+        1, MAX_PRIME_COLUMNS, FieldSpec.prime(97), [(0, 0, 1)]
     )
-    with pytest.raises(ResourceLimit):
+    assert rank_sparse(at_limit) == 1
+    m = SparseMatrix.from_entries(
+        1, MAX_PRIME_COLUMNS + 1, FieldSpec.prime(97), [(0, 0, 1)]
+    )
+    with pytest.raises(ResourceLimit, match="streaming stretch path"):
         rank_sparse(m)
