@@ -41,10 +41,18 @@ from .quotient import (
     block_dimension,
     repeated_letter_vanishing_check,
     total_dimension,
-    variant_span_equal,
 )
-from .saturation import saturation_oracle
-from .tensor import _merge_terms, n_triangle_entries
+from .relations import block_rows
+from .saturation import GENERATOR_FAMILIES, saturation_oracle
+from .sparse import SparseMatrix, rank_sparse
+from .tensor import (
+    _merge_terms,
+    count_block_monomials,
+    multidegree_of,
+    multidegrees,
+    n_triangle_entries,
+    rank_in_block,
+)
 
 Word = tuple
 
@@ -75,7 +83,6 @@ class ClaimResult:
 class AcceptanceContext:
     table_field: FieldSpec = dc_field(default_factory=FieldSpec.rational)
     cache_dir: object = None
-    variant: int = 3
     trials: int = 500
     alternating_samples: int = 200
     vanishing_samples: int = 100
@@ -85,11 +92,7 @@ class AcceptanceContext:
     stretch_budget: float | None = None
 
     def config(self, no_shortcut: bool = False) -> QuotientConfig:
-        return QuotientConfig(
-            variant=self.variant,
-            cache_dir=self.cache_dir,
-            no_shortcut=no_shortcut,
-        )
+        return QuotientConfig(cache_dir=self.cache_dir, no_shortcut=no_shortcut)
 
 
 def _claim(criterion, claim, expected, computed, t0) -> ClaimResult:
@@ -108,7 +111,7 @@ def criterion_1(ctx: AcceptanceContext) -> list[ClaimResult]:
     ref = reference_values()["totals"]["2"]
     t0 = time.monotonic()
     dims = [
-        total_dimension(m, 2, ctx.table_field, ctx.variant, ctx.config()).total
+        total_dimension(m, 2, ctx.table_field, ctx.config()).total
         for m in ref["arities"]
     ]
     return [_claim(1, "dim V=2 totals m=1..6", ref["dims"], dims, t0)]
@@ -126,14 +129,14 @@ def criterion_2(ctx: AcceptanceContext) -> list[ClaimResult]:
         n, k, expected = entry["n"], tuple(entry["k"]), entry["dim"]
         t0 = time.monotonic()
         if n <= 4:
-            got = block_dimension(n, k, 3, ctx.table_field, ctx.variant, cfg).dimension
+            got = block_dimension(n, k, 3, ctx.table_field, config=cfg).dimension
             out.append(
                 _claim(2, f"E_{n}^{k} over {ctx.table_field}", expected, got, t0)
             )
         else:
             fields = multi_prime_fields(preferred=ctx.table_field)
             got = [
-                block_dimension(n, k, 3, f, ctx.variant, cfg).dimension
+                block_dimension(n, k, 3, f, config=cfg).dimension
                 for f in fields
             ]
             agree = got[0] if len(set(got)) == 1 else f"disagree {got}"
@@ -193,7 +196,7 @@ def criterion_3(ctx: AcceptanceContext) -> list[ClaimResult]:
         total = 0
         nonzero = []
         for ktype in _sorted_types(n_triangle_entries(n), 3):
-            dim = block_dimension(n, ktype, 3, ctx.table_field, ctx.variant, cfg).dimension
+            dim = block_dimension(n, ktype, 3, ctx.table_field, config=cfg).dimension
             part = dim * _n_permutations(ktype)
             total += part
             if part:
@@ -211,14 +214,14 @@ def criterion_3(ctx: AcceptanceContext) -> list[ClaimResult]:
     # permutation invariance spot checks
     t0 = time.monotonic()
     perms_equal = all(
-        block_dimension(4, p, 3, ctx.table_field, ctx.variant, cfg).dimension == 9
+        block_dimension(4, p, 3, ctx.table_field, config=cfg).dimension == 9
         for p in sorted(set(permutations((3, 2, 1))))
     )
     out.append(_claim(3, "E_4 invariant under permutations of (3,2,1)", True, perms_equal, t0))
     t0 = time.monotonic()
     same = (
-        block_dimension(5, (2, 4, 4), 3, ctx.table_field, ctx.variant, cfg).dimension
-        == block_dimension(5, (4, 4, 2), 3, ctx.table_field, ctx.variant, cfg).dimension
+        block_dimension(5, (2, 4, 4), 3, ctx.table_field, config=cfg).dimension
+        == block_dimension(5, (4, 4, 2), 3, ctx.table_field, config=cfg).dimension
     )
     out.append(_claim(3, "E_5^(2,4,4) = E_5^(4,4,2)", True, same, t0))
     return out
@@ -236,7 +239,7 @@ def criterion_4(ctx: AcceptanceContext) -> list[ClaimResult]:
     for d, arities in ((2, (6, 7)), (1, (4, 5))):
         for m in arities:
             t0 = time.monotonic()
-            res = total_dimension(m, d, field, ctx.variant, cfg)
+            res = total_dimension(m, d, field, cfg)
             worst = max((b.dimension for b in res.blocks), default=0)
             out.append(
                 _claim(
@@ -382,16 +385,14 @@ def criterion_8(ctx: AcceptanceContext) -> list[ClaimResult]:
         for arity_report in report.arities:
             n = arity_report.arity - 1
             for k, oracle_rank in arity_report.block_ranks:
-                model_rank = block_dimension(n, k, d, rational, ctx.variant, cfg).rank
+                model_rank = block_dimension(n, k, d, rational, config=cfg).rank
                 if model_rank != oracle_rank:
                     mismatches.append((arity_report.arity, k, oracle_rank, model_rank))
             # blocks the oracle never saw must carry no relations
             seen = {k for k, _ in arity_report.block_ranks}
-            from .tensor import multidegrees
-
             for k in multidegrees(n_triangle_entries(n), d):
                 if k not in seen:
-                    model_rank = block_dimension(n, k, d, rational, ctx.variant, cfg).rank
+                    model_rank = block_dimension(n, k, d, rational, config=cfg).rank
                     if model_rank != 0:
                         mismatches.append((arity_report.arity, k, 0, model_rank))
         out.append(
@@ -405,25 +406,74 @@ def criterion_8(ctx: AcceptanceContext) -> list[ClaimResult]:
         )
     t0 = time.monotonic()
     oracle_dim = saturation_oracle(2, 5).arity(5).quotient_dim
-    model_dim = total_dimension(5, 2, rational, ctx.variant, ctx.config()).total
+    model_dim = total_dimension(5, 2, rational, ctx.config()).total
     out.append(
         _claim(8, "arity-5 quotient dimension (dim V=2) by both routes", "(1, 1)", (oracle_dim, model_dim), t0)
     )
     return out
 
 
+def _rank(rows: list[dict], n_cols: int, field: FieldSpec) -> int:
+    entries = [(i, c, v) for i, row in enumerate(rows) for c, v in row.items()]
+    return rank_sparse(SparseMatrix.from_entries(len(rows), n_cols, field, entries))
+
+
+def family_span_mismatches(family, d: int, field: FieldSpec) -> list[tuple]:
+    """Where an arity-4 generator family's span differs from the model's.
+
+    The span must be graded: its rank equals the sum of its per-block
+    ranks.  In each block, rank(family) == rank(model rows) ==
+    rank(family and model rows together).  Returns ("graded", rank,
+    per-block sum) and (k, three ranks) entries; empty when they agree.
+    """
+    cols: dict = {}
+    whole = [{cols.setdefault(m, len(cols)): c for m, c in x.terms.items()} for x in family]
+    blocks: dict = {}
+    for x in family:
+        parts: dict = {}
+        for m, c in x.terms.items():
+            k = multidegree_of(m, d)
+            parts.setdefault(k, {})[rank_in_block(m.entries, k)] = c
+        for k, row in parts.items():
+            blocks.setdefault(k, []).append(row)
+    out, split = [], 0
+    for k in multidegrees(3, d):
+        fam = blocks.get(k, [])
+        model = [dict.fromkeys(row, 1) for row in block_rows(3, k, d, field)]
+        n_cols = count_block_monomials(3, k)
+        ranks = [_rank(rows, n_cols, field) for rows in (fam, model, fam + model)]
+        split += ranks[0]
+        if len(set(ranks)) > 1:
+            out.append((k, *ranks))
+    total = _rank(whole, len(cols), field)
+    return ([("graded", total, split)] if total != split else []) + out
+
+
 def criterion_9(ctx: AcceptanceContext) -> list[ClaimResult]:
+    """The cubic, three-term and six-term generator families each span
+    the model's arity-4 rows, block by block.
+
+    Arity 4 is enough: an ideal depends only on the span of its
+    generators, so equal arity-4 spans give equal ideals in every arity.
+    """
     out = []
     for field in (FieldSpec.rational(), FieldSpec.prime(5)):
         t0 = time.monotonic()
-        bad = []
-        for d in (1, 2, 3):
-            for n in range(3, 6):
-                cmp = variant_span_equal(n, d, field, ctx.config())
-                if not cmp.all_equal:
-                    bad.append((d, n))
+        bad = [
+            (name, d, *mismatch)
+            for d in (1, 2, 3)
+            for name, build in GENERATOR_FAMILIES.items()
+            for mismatch in family_span_mismatches(build(d), d, field)
+        ]
         out.append(
-            _claim(9, f"generating variants 1,2,3 agree per block over {field}", "[]", bad, t0)
+            _claim(
+                9,
+                f"cubic, three-term and six-term generators span the model's "
+                f"arity-4 rows per block, d = 1..3, over {field}",
+                "[]",
+                bad,
+                t0,
+            )
         )
     return out
 
@@ -439,7 +489,7 @@ def criterion_10(ctx: AcceptanceContext) -> list[ClaimResult]:
         t0 = time.monotonic()
         rep = repeated_letter_vanishing_check(
             n, d, ctx.vanishing_samples, ctx.seed + n + d,
-            field=field, variant=ctx.variant, config=ctx.config(no_shortcut=True),
+            field=field, config=ctx.config(no_shortcut=True),
         )
         out.append(
             _claim(
@@ -469,8 +519,7 @@ def criterion_11(ctx: AcceptanceContext) -> list[ClaimResult]:
     for f in multi_prime_fields(ctx.table_field):
         t0 = time.monotonic()
         rep = stretch_rank(
-            f, cache_dir=ctx.cache_dir, variant=ctx.variant,
-            progress=None, time_budget=ctx.stretch_budget,
+            f, cache_dir=ctx.cache_dir, progress=None, time_budget=ctx.stretch_budget
         )
         status = (
             f"dimension {rep.dimension} (rank {rep.rank} = peel {rep.peel_rank} "

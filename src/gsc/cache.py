@@ -1,7 +1,7 @@
 """Disk cache for block reports and echelon forms.
 
-Layout: one directory per (schema-version, d, n, k, field, variant) key
-under the cache root (argument > GSC_CACHE_DIR > ./.gsc-cache), holding
+Layout: one directory per (schema-version, d, n, k, field) key under
+the cache root (argument > GSC_CACHE_DIR > ./.gsc-cache), holding
 ``report.json`` and optionally ``echelon.json`` + ``echelon.mtx`` (the
 sparse-matrix text format).  Writes are atomic (temp file + rename), so
 concurrent insert-if-absent from several threads is safe: last writer
@@ -18,9 +18,11 @@ from pathlib import Path
 from .fields import FieldSpec
 from .sparse import EchelonForm, SparseMatrix, read_matrix_text, write_matrix_text
 
-# Schema 1 reports could hold a multi-prime upper bound for a rational
-# request; they live under v1/ and are never read.
-SCHEMA_VERSION = 2
+# Older schemas live under v1/ and v2/ and are never read: schema 1
+# reports could hold a multi-prime upper bound for a rational request,
+# schema 2 keys and reports carried a generating-set number that no
+# longer exists.
+SCHEMA_VERSION = 3
 ENV_VAR = "GSC_CACHE_DIR"
 DEFAULT_DIR = ".gsc-cache"
 
@@ -34,10 +36,10 @@ def resolve_cache_dir(explicit: str | os.PathLike | None = None) -> Path:
     return Path(DEFAULT_DIR)
 
 
-def _key_dir(root: Path, d: int, n: int, k, field: FieldSpec, variant: int) -> Path:
+def _key_dir(root: Path, d: int, n: int, k, field: FieldSpec) -> Path:
     ktag = "-".join(str(x) for x in k)
     ftag = "q" if field.is_rational else f"p{field.p}"
-    return root / f"v{SCHEMA_VERSION}" / f"d{d}" / f"n{n}" / f"k{ktag}" / f"{ftag}-var{variant}"
+    return root / f"v{SCHEMA_VERSION}" / f"d{d}" / f"n{n}" / f"k{ktag}" / ftag
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -54,13 +56,13 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 class BlockCache:
-    """Reports and echelon forms keyed by (d, n, k, field, variant)."""
+    """Reports and echelon forms keyed by (d, n, k, field)."""
 
     def __init__(self, root: str | os.PathLike | None = None):
         self.root = resolve_cache_dir(root)
 
-    def load_report(self, d, n, k, field, variant) -> dict | None:
-        path = _key_dir(self.root, d, n, k, field, variant) / "report.json"
+    def load_report(self, d, n, k, field) -> dict | None:
+        path = _key_dir(self.root, d, n, k, field) / "report.json"
         if not path.exists():
             return None
         try:
@@ -71,14 +73,14 @@ class BlockCache:
             return None
         return obj
 
-    def store_report(self, d, n, k, field, variant, report: dict) -> None:
+    def store_report(self, d, n, k, field, report: dict) -> None:
         report = dict(report)
         report["schema"] = SCHEMA_VERSION
-        path = _key_dir(self.root, d, n, k, field, variant) / "report.json"
+        path = _key_dir(self.root, d, n, k, field) / "report.json"
         _atomic_write(path, json.dumps(report, sort_keys=True, indent=1) + "\n")
 
-    def load_echelon(self, d, n, k, field, variant) -> EchelonForm | None:
-        base = _key_dir(self.root, d, n, k, field, variant)
+    def load_echelon(self, d, n, k, field) -> EchelonForm | None:
+        base = _key_dir(self.root, d, n, k, field)
         meta_path = base / "echelon.json"
         mtx_path = base / "echelon.mtx"
         if not (meta_path.exists() and mtx_path.exists()):
@@ -97,8 +99,8 @@ class BlockCache:
             reduced_rows=matrix.rows,
         )
 
-    def store_echelon(self, d, n, k, field, variant, ech: EchelonForm) -> None:
-        base = _key_dir(self.root, d, n, k, field, variant)
+    def store_echelon(self, d, n, k, field, ech: EchelonForm) -> None:
+        base = _key_dir(self.root, d, n, k, field)
         matrix = SparseMatrix(
             n_rows=ech.rank, n_cols=ech.n_cols, field=ech.field, rows=ech.reduced_rows
         )

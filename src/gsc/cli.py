@@ -31,12 +31,12 @@ CSV_COLUMNS = (
     "rank",
     "dimension",
     "field",
-    "variant",
     "millis",
 )
 
 
 def _parse_field(text: str) -> FieldSpec:
+    """The field of a ``--field`` option; GF(2) and GF(3) are usage errors."""
     try:
         return FieldSpec.parse(text)
     except ValueError as exc:
@@ -60,7 +60,6 @@ def _block_record(d: int, rep) -> dict:
         "rank": rep.rank,
         "dimension": rep.dimension,
         "field": rep.field.short_name(),
-        "variant": rep.variant,
         "millis": rep.millis,
         "certified": rep.certified,
     }
@@ -88,7 +87,7 @@ def _emit_records(records: list[dict], totals: list[dict], fmt: str) -> None:
             click.echo(
                 "  arity {arity} k=({multidegree}) monomials={monomials} "
                 "rows={rows} rank={rank} dim={dimension} "
-                "[{field}, variant {variant}, {millis} ms]".format(**rec) + note
+                "[{field}, {millis} ms]".format(**rec) + note
             )
 
 
@@ -97,10 +96,6 @@ field_option = click.option(
     default="rational",
     show_default=True,
     help="Scalars: 'rational' or 'prime:P'.",
-)
-variant_option = click.option(
-    "--variant", type=click.Choice(["1", "2", "3"]), default="3", show_default=True,
-    help="Relation generating set.",
 )
 cache_option = click.option(
     "--cache-dir", default=None, help="Block cache directory (default $GSC_CACHE_DIR or ./.gsc-cache)."
@@ -120,22 +115,21 @@ def main() -> None:
 @click.option("--d", "d", type=int, required=True, help="Dimension of the coefficient space.")
 @click.option("--max-arity", type=int, default=None, help="Largest arity to report (default 2d+1).")
 @field_option
-@variant_option
 @click.option("--per-block", is_flag=True, help="Also list every multidegree block.")
 @click.option("--no-shortcut", is_flag=True, help="Disable pruning; verify zeros by elimination.")
 @format_option
 @cache_option
-def cmd_dims(d, max_arity, field, variant, per_block, no_shortcut, fmt, cache_dir):
+def cmd_dims(d, max_arity, field, per_block, no_shortcut, fmt, cache_dir):
     """Total and per-block quotient dimensions for arities 1..max."""
     if d < 1:
         raise click.UsageError("--d must be >= 1")
     fieldspec = _parse_field(field)
     max_arity = max_arity if max_arity is not None else 2 * d + 1
-    cfg = QuotientConfig(variant=int(variant), cache_dir=cache_dir, no_shortcut=no_shortcut)
+    cfg = QuotientConfig(cache_dir=cache_dir, no_shortcut=no_shortcut)
     records, totals = [], []
     try:
         for m in range(1, max_arity + 1):
-            res = total_dimension(m, d, fieldspec, int(variant), cfg)
+            res = total_dimension(m, d, fieldspec, cfg)
             totals.append({"arity": m, "dimension": res.total})
             if per_block:
                 records.extend(_block_record(d, rep) for rep in res.blocks)
@@ -151,18 +145,16 @@ def cmd_dims(d, max_arity, field, variant, per_block, no_shortcut, fmt, cache_di
 
 @main.command("verify-paper")
 @field_option
-@variant_option
 @click.option("--seed", type=int, default=20240, show_default=True)
 @click.option("--trials", type=int, default=500, show_default=True, help="Law-suite trials.")
 @click.option("--stretch", is_flag=True, help="Also run the long conjecture-block computation.")
 @click.option("--stretch-budget", type=float, default=None, help="Seconds before checkpoint-and-stop.")
 @cache_option
-def cmd_verify_paper(field, variant, seed, trials, stretch, stretch_budget, cache_dir):
+def cmd_verify_paper(field, seed, trials, stretch, stretch_budget, cache_dir):
     """Recompute every published value and print pass/fail per claim."""
     ctx = AcceptanceContext(
         table_field=_parse_field(field),
         cache_dir=cache_dir,
-        variant=int(variant),
         trials=trials,
         seed=seed,
         include_stretch=stretch,
@@ -203,11 +195,10 @@ def cmd_axioms(trials, seed):
 @click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--d", "d", type=int, required=True)
 @field_option
-@variant_option
 @click.option("--no-shortcut", is_flag=True)
 @format_option
 @cache_option
-def cmd_reduce(input_path, d, field, variant, no_shortcut, fmt, cache_dir):
+def cmd_reduce(input_path, d, field, no_shortcut, fmt, cache_dir):
     """Normal form of a triangular element given as a JSON document."""
     fieldspec = _parse_field(field)
     try:
@@ -227,9 +218,9 @@ def cmd_reduce(input_path, d, field, variant, no_shortcut, fmt, cache_dir):
                     f"entry {e} outside 1..{d} in monomial {mono.entries}", err=True
                 )
                 sys.exit(2)
-    cfg = QuotientConfig(variant=int(variant), cache_dir=cache_dir, no_shortcut=no_shortcut)
+    cfg = QuotientConfig(cache_dir=cache_dir, no_shortcut=no_shortcut)
     try:
-        result = quotient_reduce(element, d, fieldspec, int(variant), cfg)
+        result = quotient_reduce(element, d, fieldspec, cfg)
     except ResourceLimit as exc:
         click.echo(f"resource limit: {exc}", err=True)
         sys.exit(2)
@@ -265,20 +256,17 @@ def cmd_reduce(input_path, d, field, variant, no_shortcut, fmt, cache_dir):
 @click.option("--k", "k", required=True, help="Multidegree, comma-separated.")
 @click.option("--d", "d", type=int, required=True)
 @field_option
-@variant_option
 @click.option("--output", "-o", "output_path", required=True, type=click.Path(dir_okay=False))
-def cmd_export(n, k, d, field, variant, output_path):
+def cmd_export(n, k, d, field, output_path):
     """Write one block's relation matrix in the text interchange format."""
     fieldspec = _parse_field(field)
     kk = _parse_multidegree(k)
     try:
         n_cols = count_block_monomials(n, kk)
         if n_cols > 100_000:
-            rows, cols = write_block_matrix_text(
-                n, kk, d, fieldspec, output_path, int(variant)
-            )
+            rows, cols = write_block_matrix_text(n, kk, d, fieldspec, output_path)
         else:
-            block = assemble_relation_block(n, kk, d, fieldspec, int(variant))
+            block = assemble_relation_block(n, kk, d, fieldspec)
             rows, cols = block.matrix.n_rows, block.matrix.n_cols
             with open(output_path, "w", newline="") as fh:
                 fh.write(write_matrix_text(block.matrix))

@@ -189,7 +189,6 @@ def check_two_alternating(samples: int, seed: int) -> TwoAlternatingReport:
 
 def det_s2_functional(
     field: FieldSpec | None = None,
-    variant: int = 3,
     config: QuotientConfig | None = None,
 ) -> LiftedFunctional:
     """The induced functional on the arity-5 quotient (d = 2).
@@ -198,7 +197,7 @@ def det_s2_functional(
     failure there would indicate a transcription error in the term table.
     """
     field = field or FieldSpec.rational()
-    return lift_two_alternating(monomial_functional, 4, 2, field, variant, config)
+    return lift_two_alternating(monomial_functional, 4, 2, field, config)
 
 
 def induced_map_scalar(

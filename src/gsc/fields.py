@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-# Large enough to make rank-drop collisions unlikely, and > 3 so the
-# characteristic restriction on the polarized generating sets never bites.
+# Large enough to make rank-drop collisions unlikely, and > 3 because the
+# relation model spans the ideal only when 2 and 3 are invertible.
 DEFAULT_PRIME = 1_000_003
 
 # Distinct primes for prime-field runs: the three-field cross-check of the
@@ -52,8 +52,8 @@ class FieldSpec:
     """The field of scalars: rationals (p is None) or GF(p).
 
     Primes <= 3 are rejected unless ``allow_small`` is passed to
-    :meth:`prime`; the polarized relation sets need characteristic not 2
-    or 3, so small primes are opt-in only.
+    :meth:`prime`; the relation model needs characteristic not 2 or 3,
+    so small primes are opt-in only.
     """
 
     p: int | None = None
@@ -67,10 +67,7 @@ class FieldSpec:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if p <= 3 and not allow_small:
-            raise ValueError(
-                f"GF({p}) rejected by default (characteristic must not be 2 or 3); "
-                "pass allow_small=True to override"
-            )
+            raise ValueError(f"GF({p}) rejected: characteristic 2 and 3 are not supported")
         return FieldSpec(p)
 
     @property
@@ -131,12 +128,12 @@ class FieldSpec:
 
     @staticmethod
     def parse(text: str) -> "FieldSpec":
-        """Parse 'rational' or 'prime:P'."""
+        """Parse 'rational' or 'prime:P' (P = 2 and 3 are rejected)."""
         text = text.strip().lower()
         if text in ("rational", "q"):
             return FieldSpec.rational()
         if text.startswith("prime:"):
-            return FieldSpec.prime(int(text.split(":", 1)[1]), allow_small=True)
+            return FieldSpec.prime(int(text.split(":", 1)[1]))
         raise ValueError(f"unrecognized field {text!r} (want 'rational' or 'prime:P')")
 
 

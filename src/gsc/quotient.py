@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 from .cache import BlockCache
-from .errors import CharacteristicUnsupported, ResourceLimit, ShapeMismatch
+from .errors import ResourceLimit, ShapeMismatch
 from .fields import FieldSpec
 from .relations import assemble_relation_block, block_rows
 from .sparse import (
@@ -55,7 +55,6 @@ class BlockReport:
     rank: int
     dimension: int
     field: FieldSpec
-    variant: int
     millis: int
     pruned: bool = False
     certified: str = "exact"
@@ -70,7 +69,6 @@ class BlockReport:
             "rank": self.rank,
             "dimension": self.dimension,
             "field": self.field.short_name(),
-            "variant": self.variant,
             "millis": self.millis,
             "pruned": self.pruned,
             "certified": self.certified,
@@ -87,7 +85,6 @@ class BlockReport:
             rank=obj["rank"],
             dimension=obj["dimension"],
             field=FieldSpec.parse(obj["field"]),
-            variant=obj["variant"],
             millis=obj["millis"],
             pruned=obj.get("pruned", False),
             certified=obj.get("certified", "exact"),
@@ -102,7 +99,6 @@ class QuotientConfig:
     refuses blocks too wide for that field before they are assembled.
     """
 
-    variant: int = 3
     cache_dir: object = None
     limits: RunLimits = dc_field(default_factory=lambda: DEFAULT_LIMITS)
     no_shortcut: bool = False
@@ -143,18 +139,25 @@ def block_dimension(
     variant: int = 3,
     config: QuotientConfig | None = None,
 ) -> BlockReport:
-    """Dimension of one multidegree block; cached by (d,n,k,field,variant)."""
-    cfg = config or QuotientConfig(variant=variant)
+    """Dimension of one multidegree block; cached by (d, n, k, field).
+
+    ``variant`` is unused and must be 1, 2 or 3.  It stays only for
+    callers that pass the retired generating-set number positionally
+    before ``config``, as the benchmark's ``tables`` pass does.
+    """
+    if variant not in (1, 2, 3):
+        raise ValueError(f"variant must be 1, 2 or 3, got {variant}")
+    cfg = config or QuotientConfig()
     k = tuple(k)
     shortcut = not cfg.no_shortcut
     n_monomials = count_block_monomials(n, k)
-    key = ("report", d, n, k, field, variant, shortcut)
+    key = ("report", d, n, k, field, shortcut)
     hit = _mem_get(key)
     if hit is not None:
         return hit
     cache = cfg.cache()
     if shortcut:
-        obj = cache.load_report(d, n, k, field, variant)
+        obj = cache.load_report(d, n, k, field)
         if obj is not None:
             rep = BlockReport.from_json(obj)
             _mem_put(key, rep)
@@ -169,7 +172,6 @@ def block_dimension(
             rank=n_monomials,
             dimension=0,
             field=field,
-            variant=variant,
             millis=0,
             pruned=True,
             certified="pruned",
@@ -178,7 +180,7 @@ def block_dimension(
         t0 = time.monotonic()
         try:
             check_columns(n_monomials, field, cfg.limits)
-            block = assemble_relation_block(n, k, d, field, variant)
+            block = assemble_relation_block(n, k, d, field)
             rank = rank_sparse(block.matrix, cfg.limits)
         except ResourceLimit as exc:
             raise ResourceLimit(f"block n={n} k={k} over {field}: {exc}") from exc
@@ -192,12 +194,11 @@ def block_dimension(
             rank=rank,
             dimension=n_monomials - rank,
             field=field,
-            variant=variant,
             millis=millis,
         )
     _mem_put(key, rep)
     if shortcut:
-        cache.store_report(d, n, k, field, variant, rep.to_json())
+        cache.store_report(d, n, k, field, rep.to_json())
     return rep
 
 
@@ -213,7 +214,6 @@ def total_dimension(
     m: int,
     d: int,
     field: FieldSpec,
-    variant: int = 3,
     config: QuotientConfig | None = None,
 ) -> ArityDimension:
     """Quotient dimension at arity m, with the per-block breakdown.
@@ -224,12 +224,12 @@ def total_dimension(
     """
     if m < 1:
         raise ValueError("arity must be >= 1")
-    cfg = config or QuotientConfig(variant=variant)
+    cfg = config or QuotientConfig()
     n = m - 1
     if m > 2 * d + 1 and not cfg.no_shortcut:
         return ArityDimension(arity=m, total=0, blocks=(), shortcut_zero=True)
     blocks = [
-        block_dimension(n, k, d, field, variant, cfg)
+        block_dimension(n, k, d, field, config=cfg)
         for k in multidegrees(n_triangle_entries(n), d)
     ]
     return ArityDimension(
@@ -246,22 +246,21 @@ def block_echelon(
     k: MultiDegree,
     d: int,
     field: FieldSpec,
-    variant: int = 3,
     config: QuotientConfig | None = None,
 ) -> EchelonForm:
     """Reduced echelon form of a block's relation matrix (cached)."""
-    cfg = config or QuotientConfig(variant=variant)
+    cfg = config or QuotientConfig()
     k = tuple(k)
-    key = ("echelon", d, n, k, field, variant)
+    key = ("echelon", d, n, k, field)
     hit = _mem_get(key)
     if hit is not None:
         return hit
     cache = cfg.cache()
-    ech = cache.load_echelon(d, n, k, field, variant)
+    ech = cache.load_echelon(d, n, k, field)
     if ech is None:
-        block = assemble_relation_block(n, k, d, field, variant)
+        block = assemble_relation_block(n, k, d, field)
         ech = rref_sparse(block.matrix, cfg.limits)
-        cache.store_echelon(d, n, k, field, variant, ech)
+        cache.store_echelon(d, n, k, field, ech)
     _mem_put(key, ech)
     return ech
 
@@ -291,7 +290,6 @@ def quotient_reduce(
     x: TriElement,
     d: int,
     field: FieldSpec,
-    variant: int = 3,
     config: QuotientConfig | None = None,
 ) -> ReduceResult:
     """Normal form of x: per-block coordinates over non-pivot monomials.
@@ -300,7 +298,7 @@ def quotient_reduce(
     block's echelon form.  Blocks with a letter count >= size are zero
     outright (quotient dimension 0) unless shortcuts are disabled.
     """
-    cfg = config or QuotientConfig(variant=variant)
+    cfg = config or QuotientConfig()
     parts: dict[MultiDegree, dict[TriMonomial, object]] = {}
     for mono, coeff in x.terms.items():
         k = multidegree_of(mono, d)
@@ -315,11 +313,11 @@ def quotient_reduce(
             # verify rather than assume: a full-column-rank block reduces
             # everything to zero, established by elimination (rank only,
             # cheaper than materializing the echelon form)
-            rep = block_dimension(x.size, k, d, field, variant, cfg)
+            rep = block_dimension(x.size, k, d, field, config=cfg)
             if rep.dimension == 0:
                 reductions.append(BlockReduction(k=k, coordinates=(), pruned=False))
                 continue
-        ech = block_echelon(x.size, k, d, field, variant, cfg)
+        ech = block_echelon(x.size, k, d, field, cfg)
         monomials = enumerate_block_monomials(x.size, k)
         index = {m: c for c, m in enumerate(monomials)}
         vec = {index[m]: field.convert(c) for m, c in component.items()}
@@ -336,11 +334,10 @@ def quotient_basis(
     k: MultiDegree,
     d: int,
     field: FieldSpec,
-    variant: int = 3,
     config: QuotientConfig | None = None,
 ) -> list[TriMonomial]:
     """The non-pivot monomials of a block, in canonical order."""
-    ech = block_echelon(n, k, d, field, variant, config)
+    ech = block_echelon(n, k, d, field, config)
     monomials = enumerate_block_monomials(n, k)
     return [monomials[c] for c in ech.non_pivot_cols()]
 
@@ -367,7 +364,6 @@ def repeated_letter_vanishing_check(
     samples: int,
     seed: int,
     field: FieldSpec | None = None,
-    variant: int = 3,
     config: QuotientConfig | None = None,
 ) -> VanishingReport:
     """Monomials with some letter repeated >= n times reduce to zero.
@@ -378,7 +374,7 @@ def repeated_letter_vanishing_check(
     if n < 3:
         raise ValueError("size must be >= 3")
     field = field or FieldSpec.rational()
-    cfg = config or QuotientConfig(variant=variant)
+    cfg = config or QuotientConfig()
     rng = random.Random(seed)
     n_pos = n_triangle_entries(n)
     failures = []
@@ -394,66 +390,10 @@ def repeated_letter_vanishing_check(
             if entries[t] == 0:
                 entries[t] = rng.choice(others) if others else letter
         mono = TriMonomial(n, tuple(entries))
-        res = quotient_reduce(TriElement.monomial(mono), d, field, variant, cfg)
+        res = quotient_reduce(TriElement.monomial(mono), d, field, cfg)
         if not res.is_zero:
             failures.append(mono)
     return VanishingReport(n=n, d=d, samples=samples, failures=tuple(failures))
-
-
-# ---------------------------------------------------------------------------
-# Variant comparison
-
-
-@dataclass(frozen=True)
-class VariantComparison:
-    n: int
-    d: int
-    field: FieldSpec
-    per_block: tuple[tuple[MultiDegree, bool, tuple[int, int, int] | None], ...]
-    # (k, identical_row_sets, ranks per variant when sets differ)
-
-    @property
-    def all_equal(self) -> bool:
-        return all(
-            identical or (ranks is not None and ranks[0] == ranks[1] == ranks[2])
-            for _, identical, ranks in self.per_block
-        )
-
-
-def variant_span_equal(
-    n: int,
-    d: int,
-    field: FieldSpec,
-    config: QuotientConfig | None = None,
-) -> VariantComparison:
-    """Compare the three generating variants' row spaces per block.
-
-    The polarized variants coincide row-for-row (see relations); a block
-    whose deduplicated row sets are literally equal has equal ranks over
-    any field with no elimination needed.  If the sets ever differ, each
-    variant is eliminated and the ranks compared.  Refused over
-    characteristic 2 and 3.
-    """
-    if field.characteristic in (2, 3):
-        raise CharacteristicUnsupported(
-            f"variant comparison needs characteristic not 2 or 3, got {field}"
-        )
-    cfg = config or QuotientConfig()
-    results = []
-    for k in multidegrees(n_triangle_entries(n), d):
-        row_sets = [set(block_rows(n, k, d, v, field)) for v in (1, 2, 3)]
-        identical = row_sets[0] == row_sets[1] == row_sets[2]
-        if identical:
-            ranks = None
-        else:
-            ranks = tuple(
-                rank_sparse(
-                    assemble_relation_block(n, k, d, field, v).matrix, cfg.limits
-                )
-                for v in (1, 2, 3)
-            )
-        results.append((k, identical, ranks))
-    return VariantComparison(n=n, d=d, field=field, per_block=tuple(results))
 
 
 # ---------------------------------------------------------------------------
@@ -464,12 +404,11 @@ class LiftedFunctional:
     """A functional on quotient coordinates, induced by a functional on
     monomials that annihilates every relation row."""
 
-    def __init__(self, phi, n, d, field, variant, config):
+    def __init__(self, phi, n, d, field, config):
         self._phi = phi
         self.n = n
         self.d = d
         self.field = field
-        self._variant = variant
         self._config = config
 
     def value_on_monomial(self, m: TriMonomial):
@@ -490,7 +429,7 @@ class LiftedFunctional:
 
     def basis_values(self, k: MultiDegree):
         """Values on the block's quotient basis (non-pivot monomials)."""
-        basis = quotient_basis(self.n, k, self.d, self.field, self._variant, self._config)
+        basis = quotient_basis(self.n, k, self.d, self.field, self._config)
         return [(m, self.value_on_monomial(m)) for m in basis]
 
 
@@ -499,7 +438,6 @@ def lift_two_alternating(
     n: int,
     d: int,
     field: FieldSpec,
-    variant: int = 3,
     config: QuotientConfig | None = None,
 ) -> LiftedFunctional:
     """Lift a monomial functional through the quotient projection.
@@ -510,11 +448,11 @@ def lift_two_alternating(
     """
     from .errors import NotTwoAlternating
 
-    cfg = config or QuotientConfig(variant=variant)
+    cfg = config or QuotientConfig()
     for k in multidegrees(n_triangle_entries(n), d):
         monomials = enumerate_block_monomials(n, k)
         values = [field.convert(phi(m)) for m in monomials]
-        for row in block_rows(n, k, d, variant, field):
+        for row in block_rows(n, k, d, field):
             total = field.zero()
             for c in row:
                 total = field.add(total, values[c])
@@ -523,4 +461,4 @@ def lift_two_alternating(
                     f"functional does not annihilate a relation row in block {k}",
                     row=tuple((monomials[c], 1) for c in row),
                 )
-    return LiftedFunctional(phi, n, d, field, variant, cfg)
+    return LiftedFunctional(phi, n, d, field, cfg)

@@ -10,10 +10,11 @@ the three triangle positions, all other positions frozen to the fill.
 This explicit model is a design commitment; the closure property test
 and the saturation oracle justify it rather than assume it.
 
-Three generating variants are exposed.  All three reproduce the same
-per-block row set once the quadratic/cubic families are polarized into
-multihomogeneous components; variants 2 and 3 divide by 2 and 3 along
-the way, hence the characteristic restriction.
+The cubic, three-term and six-term generator families all span these
+rows in arity 4 (criterion 9 checks it by rank over Q and GF(5)).  The
+row of a multiset with a repeated letter is a generator divided by 2 or
+6, so the model equals the ideal only when 2 and 3 are invertible, and
+characteristic 2 or 3 is refused.
 """
 
 from __future__ import annotations
@@ -34,14 +35,13 @@ from .tensor import (
     _words_with_counts,
     count_block_monomials,
     enumerate_block_monomials,
+    multidegrees,
     n_triangle_entries,
     rank_words_in_block,
     triangle_positions,
 )
 
 Row = tuple[int, ...]  # sorted column indices, all coefficients 1
-
-VARIANTS = (1, 2, 3)
 
 
 @dataclass(frozen=True)
@@ -76,29 +76,15 @@ class TriangleRelation:
         return tuple(sorted(out))
 
 
-def _occupant_multisets(d: int, variant: int) -> list[tuple[int, int, int]]:
-    """Occupant multisets contributed by one generating variant.
-
-    Variant 1 polarizes the cubic family v (x) v (x) v directly: every
-    multiset appears.  Variant 2 starts from the three-term family in
-    (u, v): its v-pure components give the {v,v,u} multisets, its
-    v-mixed components the three-distinct-letter multisets, and the
-    u = v diagonal (divided by 3) the constant ones.  Variant 3 starts
-    from the fully symmetrized six-term family: distinct triples come
-    straight from it, degenerate multisets from the lower polarizations
-    T(a,a,b)/2 and T(a,a,a)/6.  All three end at the same multiset list;
-    what differs is the justification, so variants 2 and 3 insist on
-    characteristic not 2 or 3.
-    """
+def _occupant_multisets(d: int) -> list[tuple[int, int, int]]:
+    """Every occupant multiset of the triangle, lexicographically."""
     return list(combinations_with_replacement(range(1, d + 1), 3))
 
 
-def _check_variant(variant: int, field: FieldSpec | None) -> None:
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
-    if variant in (2, 3) and field is not None and field.characteristic in (2, 3):
+def _check_field(field: FieldSpec | None) -> None:
+    if field is not None and field.characteristic in (2, 3):
         raise CharacteristicUnsupported(
-            f"variant {variant} needs characteristic not 2 or 3, got {field}"
+            f"the relation model needs characteristic not 2 or 3, got {field}"
         )
 
 
@@ -112,9 +98,7 @@ def _fill_counts(k: MultiDegree, occ: tuple[int, int, int]) -> list[int] | None:
     return remaining
 
 
-def _triangle_relations(
-    size: int, k: MultiDegree, d: int, variant: int = 3
-) -> Iterator[TriangleRelation]:
+def _triangle_relations(size: int, k: MultiDegree, d: int) -> Iterator[TriangleRelation]:
     """Every relation of one valid block as an object: the reference model.
 
     Order: triples lexicographically, occupant multisets lexicographically,
@@ -125,7 +109,7 @@ def _triangle_relations(
         i, j, kk = triple
         tri_slots = {(i, j), (i, kk), (j, kk)}
         rest = [p for p in all_pos if p not in tri_slots]
-        for occ in _occupant_multisets(d, variant):
+        for occ in _occupant_multisets(d):
             remaining = _fill_counts(k, occ)
             if remaining is None:
                 continue
@@ -142,7 +126,7 @@ def _check_block(size: int, k: MultiDegree) -> None:
 
 
 def iter_block_relations(
-    size: int, k: MultiDegree, d: int, variant: int = 3, field: FieldSpec | None = None
+    size: int, k: MultiDegree, d: int, field: FieldSpec | None = None
 ) -> Iterator[Row]:
     """All relation rows of one multidegree block, deterministically.
 
@@ -157,14 +141,14 @@ def iter_block_relations(
     vectorized call; the fill words depend only on the letters left, so
     they are built once per multiset.
     """
-    _check_variant(variant, field)
+    _check_field(field)
     _check_block(size, k)
     if size < 3:
         return
     k = tuple(k)
     n_pos = n_triangle_entries(size)
     fills = {}  # occupant multiset -> its fill words, one per array row
-    for occ in _occupant_multisets(d, variant):
+    for occ in _occupant_multisets(d):
         remaining = _fill_counts(k, occ)
         if remaining is not None:
             fills[occ] = np.array(list(_words_with_counts(remaining)), dtype=np.int64)
@@ -185,18 +169,14 @@ def iter_block_relations(
             yield from zip(*rows)
 
 
-def relation_generators(
-    n: int, d: int, variant: int = 3, field: FieldSpec | None = None
-) -> list[TriangleRelation]:
+def relation_generators(n: int, d: int, field: FieldSpec | None = None) -> list[TriangleRelation]:
     """Every triangle relation of size n, across all multidegree blocks."""
-    _check_variant(variant, field)
+    _check_field(field)
     out: list[TriangleRelation] = []
     if n < 3:
         return out
-    from .tensor import multidegrees
-
     for k in multidegrees(n_triangle_entries(n), d):
-        out.extend(_triangle_relations(n, k, d, variant))
+        out.extend(_triangle_relations(n, k, d))
     return out
 
 
@@ -207,7 +187,6 @@ class RelationBlock:
     n: int
     k: MultiDegree
     d: int
-    variant: int
     monomials: tuple[TriMonomial, ...]
     matrix: SparseMatrix
 
@@ -220,28 +199,19 @@ class RelationBlock:
         return self.matrix.n_cols
 
 
-def block_rows(
-    size: int, k: MultiDegree, d: int, variant: int = 3, field: FieldSpec | None = None
-) -> list[Row]:
+def block_rows(size: int, k: MultiDegree, d: int, field: FieldSpec | None = None) -> list[Row]:
     """Deduplicated relation rows of one block, in first-seen order."""
-    return list(dict.fromkeys(iter_block_relations(size, k, d, variant, field)))
+    return list(dict.fromkeys(iter_block_relations(size, k, d, field)))
 
 
-def assemble_relation_block(
-    n: int,
-    k: MultiDegree,
-    d: int,
-    field: FieldSpec,
-    variant: int = 3,
-) -> RelationBlock:
+def assemble_relation_block(n: int, k: MultiDegree, d: int, field: FieldSpec) -> RelationBlock:
     """Build the block's sparse matrix over ``field``.
 
     Rows are deduplicated; columns follow the canonical monomial order;
     the construction is deterministic for fixed inputs.
     """
-    _check_variant(variant, field)
     monomials = enumerate_block_monomials(n, tuple(k))
-    rows = block_rows(n, tuple(k), d, variant, field)
+    rows = block_rows(n, tuple(k), d, field)
     one = field.one()
     # rows are sorted and duplicate-free, as SparseMatrix requires
     matrix = SparseMatrix(
@@ -251,7 +221,6 @@ def assemble_relation_block(
         n=n,
         k=tuple(k),
         d=d,
-        variant=variant,
         monomials=tuple(monomials),
         matrix=matrix,
     )
@@ -263,7 +232,6 @@ def write_block_matrix_text(
     d: int,
     field: FieldSpec,
     path,
-    variant: int = 3,
 ) -> tuple[int, int]:
     """Stream one block's relation matrix to ``path`` in the text format.
 
@@ -277,7 +245,7 @@ def write_block_matrix_text(
     import shutil
     import tempfile
 
-    _check_variant(variant, field)
+    _check_field(field)
     n_cols = count_block_monomials(n, tuple(k))
     modulus = 0 if field.is_rational else field.p
     seen: set[tuple[int, ...]] = set()
@@ -285,7 +253,7 @@ def write_block_matrix_text(
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
     try:
         with os.fdopen(fd, "w") as body:
-            for cols in iter_block_relations(n, tuple(k), d, variant, field):
+            for cols in iter_block_relations(n, tuple(k), d, field):
                 if cols in seen:
                     continue
                 seen.add(cols)
@@ -303,7 +271,7 @@ def write_block_matrix_text(
     return n_rows, n_cols
 
 
-def block_row_count(size: int, k: MultiDegree, d: int, variant: int = 3) -> int:
+def block_row_count(size: int, k: MultiDegree, d: int) -> int:
     """Number of raw (pre-dedup) relations in a block, by counting fills."""
     _check_block(size, k)
     if size < 3:
@@ -313,7 +281,7 @@ def block_row_count(size: int, k: MultiDegree, d: int, variant: int = 3) -> int:
     n_pos = n_triangle_entries(size)
     n_triples = math.comb(size, 3)
     total = 0
-    for occ in _occupant_multisets(d, variant):
+    for occ in _occupant_multisets(d):
         remaining = _fill_counts(k, occ)
         if remaining is None:
             continue

@@ -6,13 +6,17 @@ span under diamond insertions against every monomial context on either
 side, until the dimension in every tracked arity stabilizes.  The
 resulting graded ranks are compared against the triangle-placement
 relation model, which this module deliberately never imports.
+
+The three arity-4 generator families of the ideal live here too, built
+the same way; criterion 9 compares each one's span with the model's
+arity-4 rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, permutations, product
 
 from .diamond import diamond
 from .errors import ResourceLimit
@@ -31,7 +35,7 @@ from .tensor import (
 MAX_DIM = 2
 MAX_ARITY = 5
 
-# Coordinates used to polarize the generator family.  0/1 vectors are
+# Coordinates used to polarize the generator families.  0/1 vectors are
 # not enough: for dim 2 the cubic components of the four nonzero 0/1
 # expansions span only 3 of the 4 graded pieces in arity 4; adding a
 # coordinate value 2 separates them over the rationals.
@@ -83,15 +87,52 @@ def _all_grids(rows: int, cols: int, d: int):
         yield RectMonomial(rows, cols, word)
 
 
-def _seed_elements(d: int) -> list[TriElement]:
-    """Expansions of the repeated-vector triangle over the seed family."""
-    out = []
+def _seed_vectors(d: int, coords=_SEED_COORDS) -> list[tuple[int, ...]]:
+    return [v for v in product(coords, repeat=d) if any(v)]
+
+
+def _triangle_sum(placements, d: int) -> TriElement:
+    """Sum of the expansions of several (v12, v13, v23) placements."""
     pos = triangle_positions(3)
-    for coords in product(_SEED_COORDS, repeat=d):
-        if not any(coords):
-            continue
-        out.append(expand_multilinear(3, {p: coords for p in pos}, d))
+    out = TriElement.zero(3)
+    for vectors in placements:
+        out = out + expand_multilinear(3, dict(zip(pos, vectors)), d)
     return out
+
+
+def _seed_elements(d: int, coords=_SEED_COORDS) -> list[TriElement]:
+    """The cubic family v (x) v (x) v over the nonzero seed vectors."""
+    return [_triangle_sum([(v, v, v)], d) for v in _seed_vectors(d, coords)]
+
+
+def three_term_elements(d: int) -> list[TriElement]:
+    """The family u(x)v(x)v + v(x)u(x)v + v(x)v(x)u over seed vector pairs."""
+    vectors = _seed_vectors(d)
+    return [
+        _triangle_sum([(u, v, v), (v, u, v), (v, v, u)], d)
+        for u in vectors
+        for v in vectors
+    ]
+
+
+def six_term_elements(d: int) -> list[TriElement]:
+    """The symmetrized family, sum over sigma of a_s1 (x) a_s2 (x) a_s3.
+
+    Unit vectors suffice: the family is multilinear in (a1, a2, a3).
+    """
+    units = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    return [
+        _triangle_sum(permutations(triple), d)
+        for triple in combinations_with_replacement(units, 3)
+    ]
+
+
+# The generating sets of the arity-4 ideal, by name.
+GENERATOR_FAMILIES = {
+    "cubic": _seed_elements,
+    "three-term": three_term_elements,
+    "six-term": six_term_elements,
+}
 
 
 @dataclass(frozen=True)

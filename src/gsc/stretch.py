@@ -19,11 +19,11 @@ The rank is taken in three phases, all exact over GF(p) or Q:
 
 Progress checkpoints (pickle under the cache directory) make the run
 resumable; a time budget stops at the next checkpoint, and an unreadable
-or mismatched checkpoint is ignored.  A run over GF(p) reports a
-dimension that upper-bounds the rational one; a run with ``p = None``
-is exact over Q.  The block is parameterizable so the identical pipeline
-is exercised on small blocks by the tests; the defaults are the open
-case.
+or mismatched checkpoint, or one saved under another checkpoint schema,
+is ignored.  A run over GF(p) reports a dimension that upper-bounds the
+rational one; a run with ``p = None`` is exact over Q.  The block is
+parameterizable so the identical pipeline is exercised on small blocks
+by the tests; the defaults are the open case.
 """
 
 from __future__ import annotations
@@ -62,6 +62,10 @@ class StretchBlock:
 
 CONJECTURE_BLOCK = StretchBlock()
 CHECKPOINT_EVERY = 200_000
+# Bumped whenever the saved state or the row order changes: ``rows_done``
+# and the stream restart depend on both.  Schema 1 files (no version,
+# a generating-set number in the name) are never resumed.
+CHECKPOINT_SCHEMA = 2
 # dict-backed rows cost on the order of 100 bytes per stored entry, so
 # this keeps the core basis in the low tens of gigabytes
 MAX_BASIS_ENTRIES = 120_000_000
@@ -159,8 +163,8 @@ class _SignedUnionFind:
 
 @dataclass
 class StretchState:
+    schema: int
     p: int | None
-    variant: int
     block: StretchBlock
     phase: str  # "stream" -> "peel" -> "core" -> "done"
     parent: list
@@ -176,14 +180,14 @@ class StretchState:
         return sum(len(r) for r in self.basis.values())
 
 
-def _checkpoint_path(cache_dir, block: StretchBlock, p, variant: int):
+def _checkpoint_path(cache_dir, block: StretchBlock, p):
     root = resolve_cache_dir(cache_dir)
     ftag = "q" if p is None else f"p{p}"
-    return root / "stretch" / f"{block.tag()}-{ftag}-var{variant}.pickle"
+    return root / "stretch" / f"{block.tag()}-{ftag}-s{CHECKPOINT_SCHEMA}.pickle"
 
 
 def _save(state: StretchState, cache_dir) -> None:
-    path = _checkpoint_path(cache_dir, state.block, state.p, state.variant)
+    path = _checkpoint_path(cache_dir, state.block, state.p)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(".tmp")
     with open(tmp, "wb") as fh:
@@ -191,15 +195,14 @@ def _save(state: StretchState, cache_dir) -> None:
     tmp.replace(path)
 
 
-def _load(
-    cache_dir, block: StretchBlock, p: int | None, variant: int, progress=None
-) -> StretchState | None:
+def _load(cache_dir, block: StretchBlock, p: int | None, progress=None) -> StretchState | None:
     """The saved state for this run, or None to start fresh.
 
-    A truncated or corrupt file, or one saved for another block, field
-    or variant, is ignored, with a message through ``progress``.
+    A truncated or corrupt file, or one saved under another checkpoint
+    schema or for another block or field, is ignored, with a message
+    through ``progress``.
     """
-    path = _checkpoint_path(cache_dir, block, p, variant)
+    path = _checkpoint_path(cache_dir, block, p)
     if not path.exists():
         return None
     try:
@@ -208,11 +211,13 @@ def _load(
     except (EOFError, pickle.UnpicklingError) as exc:
         problem = f"unreadable ({exc})"
     else:
-        if isinstance(state, StretchState) and (state.block, state.p, state.variant) == (
-            block, p, variant
-        ):
+        schema = getattr(state, "schema", None)
+        if not isinstance(state, StretchState) or schema != CHECKPOINT_SCHEMA:
+            problem = f"saved under checkpoint schema {schema}, not {CHECKPOINT_SCHEMA}"
+        elif (state.block, state.p) == (block, p):
             return state
-        problem = "saved for another block, field or variant"
+        else:
+            problem = "saved for another block or field"
     if progress:
         progress(f"ignoring checkpoint {path.name}: {problem}; starting fresh")
     return None
@@ -234,7 +239,6 @@ class StretchReport:
 def stretch_rank(
     field: FieldSpec,
     cache_dir=None,
-    variant: int = 3,
     progress=None,
     time_budget: float | None = None,
     block: StretchBlock = CONJECTURE_BLOCK,
@@ -256,13 +260,13 @@ def stretch_rank(
     def out_of_time() -> bool:
         return time_budget is not None and time.monotonic() - t0 > time_budget
 
-    state = _load(cache_dir, block, p, variant, progress)
+    state = _load(cache_dir, block, p, progress)
     if state is None:
         n_cols = block.columns()
         uf = _SignedUnionFind(p, n_cols)
         state = StretchState(
+            schema=CHECKPOINT_SCHEMA,
             p=p,
-            variant=variant,
             block=block,
             phase="stream",
             parent=uf.parent,
@@ -294,7 +298,7 @@ def stretch_rank(
         # simply restart the stream against the saved classes on resume.
         stash_set = set()
         count = 0
-        for cols in iter_block_relations(block.n, block.k, block.d, variant):
+        for cols in iter_block_relations(block.n, block.k, block.d):
             count += 1
             items = uf.reduce_row(cols)
             if not uf.absorb(items):

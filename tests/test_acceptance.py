@@ -9,8 +9,12 @@ import time
 
 import pytest
 
+from gsc import acceptance
 from gsc.acceptance import CRITERIA, AcceptanceContext, run_criteria
 from gsc.fields import FieldSpec
+from gsc.relations import block_rows
+from gsc.saturation import GENERATOR_FAMILIES, _seed_elements, six_term_elements
+from gsc.tensor import TriElement
 
 pytestmark = pytest.mark.acceptance
 
@@ -68,7 +72,48 @@ def test_criterion_08_oracle_equivalence(ctx):
 
 
 def test_criterion_09_variant_equivalence(ctx):
-    _run(ctx, 9)
+    _run(ctx, 9, bound_seconds=4)
+
+
+def _criterion_09_failures(ctx):
+    return [res.computed for res in CRITERIA[9](ctx) if not res.passed]
+
+
+def test_criterion_09_fails_on_dropped_model_row(ctx, monkeypatch):
+    def drop_pair_row(size, k, d, field=None):
+        return [] if (k, d) == ((2, 1), 2) else block_rows(size, k, d, field)
+
+    monkeypatch.setattr(acceptance, "block_rows", drop_pair_row)
+    failures = _criterion_09_failures(ctx)
+    assert len(failures) == 2  # over Q and over GF(5)
+    assert all("(2, 1)" in f for f in failures), failures
+
+
+def test_criterion_09_fails_on_zero_one_cubic_coordinates(ctx, monkeypatch):
+    # at d = 2, 0/1 vectors leave the cubic family's span ungraded
+    def cubic(d):
+        return _seed_elements(d, coords=(0, 1) if d == 2 else (0, 1, 2))
+
+    monkeypatch.setitem(GENERATOR_FAMILIES, "cubic", cubic)
+    failures = _criterion_09_failures(ctx)
+    assert len(failures) == 2
+    assert all("('cubic', 2, 'graded', 3, 4)" in f for f in failures), failures
+
+
+def test_criterion_09_fails_on_flipped_coefficient_sign(ctx, monkeypatch):
+    def flipped(d):
+        family = six_term_elements(d)
+        i = max(range(len(family)), key=lambda i: len(family[i].terms))
+        terms = dict(family[i].terms)
+        m = min(terms)
+        terms[m] = -terms[m]
+        family[i] = TriElement(3, terms)
+        return family
+
+    monkeypatch.setitem(GENERATOR_FAMILIES, "six-term", flipped)
+    failures = _criterion_09_failures(ctx)
+    assert len(failures) == 2
+    assert all("('six-term', 3, (1, 1, 1), 1, 1, 2)" in f for f in failures), failures
 
 
 def test_criterion_10_repeated_letter_sampling(ctx):

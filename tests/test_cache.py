@@ -1,6 +1,8 @@
 import json
 import threading
 
+import pytest
+
 from gsc.cache import BlockCache, resolve_cache_dir
 from gsc.fields import FieldSpec
 from gsc.quotient import QuotientConfig, block_dimension, clear_memory_cache
@@ -19,13 +21,12 @@ def test_resolution_order(tmp_path, monkeypatch):
 
 def test_report_round_trip(tmp_path):
     cache = BlockCache(tmp_path)
-    assert cache.load_report(2, 3, (2, 1), Q, 3) is None
-    cache.store_report(2, 3, (2, 1), Q, 3, {"dimension": 2})
-    obj = cache.load_report(2, 3, (2, 1), Q, 3)
+    assert cache.load_report(2, 3, (2, 1), Q) is None
+    cache.store_report(2, 3, (2, 1), Q, {"dimension": 2})
+    obj = cache.load_report(2, 3, (2, 1), Q)
     assert obj["dimension"] == 2
-    # distinct variants and fields are distinct keys
-    assert cache.load_report(2, 3, (2, 1), Q, 1) is None
-    assert cache.load_report(2, 3, (2, 1), FieldSpec.prime(5), 3) is None
+    # distinct fields are distinct keys
+    assert cache.load_report(2, 3, (2, 1), FieldSpec.prime(5)) is None
 
 
 def test_echelon_round_trip(tmp_path):
@@ -36,8 +37,8 @@ def test_echelon_round_trip(tmp_path):
         pivot_cols=(0,),
         reduced_rows=(((0, 1), (2, 2)),),
     )
-    cache.store_echelon(2, 3, (2, 1), Q, 3, ech)
-    back = cache.load_echelon(2, 3, (2, 1), Q, 3)
+    cache.store_echelon(2, 3, (2, 1), Q, ech)
+    back = cache.load_echelon(2, 3, (2, 1), Q)
     assert back.pivot_cols == (0,)
     assert back.rank == 1
     assert back.reduced_rows[0][1][1] == 2
@@ -74,14 +75,16 @@ def test_corrupt_cache_file_ignored(tmp_path):
     assert rep2.dimension == rep.dimension
 
 
-def test_schema_1_upper_bound_report_not_served(tmp_path):
-    """A report from the schema-1 layout, which could hold a multi-prime
-    upper bound for a rational request, is never read back."""
+@pytest.mark.parametrize("schema", [1, 2])
+def test_schema_1_upper_bound_report_not_served(tmp_path, schema):
+    """A report from an older layout is never read back: schema 1 could
+    hold a multi-prime upper bound for a rational request, schema 2 was
+    keyed by a generating-set number."""
     clear_memory_cache()
-    old = tmp_path / "v1" / "d2" / "n4" / "k3-3" / "q-var3" / "report.json"
+    old = tmp_path / f"v{schema}" / "d2" / "n4" / "k3-3" / "q-var3" / "report.json"
     old.parent.mkdir(parents=True)
     planted = {
-        "schema": 1, "d": 2, "n": 4, "k": [3, 3], "monomials": 20, "rows": 1,
+        "schema": schema, "d": 2, "n": 4, "k": [3, 3], "monomials": 20, "rows": 1,
         "rank": 15, "dimension": 5, "field": "rational", "variant": 3, "millis": 0,
         "pruned": False, "certified": "multi-prime upper bound (1000003, 1000033, 1000037)",
     }

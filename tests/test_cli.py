@@ -37,7 +37,7 @@ def test_dims_csv_format_and_columns(runner, tmp_path):
     )
     assert res.exit_code == 0
     header = res.output.splitlines()[0]
-    assert header == "d,arity,multidegree,monomials,rows,rank,dimension,field,variant,millis"
+    assert header == "d,arity,multidegree,monomials,rows,rank,dimension,field,millis"
 
 
 def test_dims_warm_rerun_byte_identical(runner, tmp_path):
@@ -65,6 +65,9 @@ def test_dims_usage_errors(runner):
     assert invoke(runner, ["dims", "--d", "2", "--field", "prime:4"]).exit_code == 2
     assert invoke(runner, ["dims", "--d", "0"]).exit_code == 2
     assert invoke(runner, ["dims", "--d", "2", "--threads", "2"]).exit_code == 2
+    assert invoke(runner, ["dims", "--d", "2", "--field", "prime:3"]).exit_code == 2
+    assert invoke(runner, ["dims", "--d", "2", "--field", "prime:2"]).exit_code == 2
+    assert invoke(runner, ["dims", "--d", "2", "--variant", "3"]).exit_code == 2
 
 
 def test_dims_rational_resource_refusal_exit_2(runner, tmp_path, monkeypatch):

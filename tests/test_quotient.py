@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gsc.errors import CharacteristicUnsupported, NotTwoAlternating
+from gsc.errors import NotTwoAlternating
 from gsc.fields import FieldSpec
 from gsc.quotient import (
     QuotientConfig,
@@ -15,7 +15,6 @@ from gsc.quotient import (
     quotient_reduce,
     repeated_letter_vanishing_check,
     total_dimension,
-    variant_span_equal,
 )
 from gsc.relations import block_rows
 from gsc.tensor import (
@@ -165,16 +164,6 @@ def test_vanishing_check_all_cases(cfg):
         5, 3, 10, 99, field=FieldSpec.prime(1_000_003), config=cfg
     )
     assert rep.passed
-
-
-def test_variant_comparison_equal_and_guarded(cfg):
-    cmp = variant_span_equal(3, 2, Q, cfg)
-    assert cmp.all_equal
-    assert all(identical for _, identical, _ranks in cmp.per_block)
-    cmp5 = variant_span_equal(4, 3, FieldSpec.prime(5), cfg)
-    assert cmp5.all_equal
-    with pytest.raises(CharacteristicUnsupported):
-        variant_span_equal(3, 2, FieldSpec.prime(2, allow_small=True), cfg)
 
 
 def test_lift_rejects_non_alternating_functional(cfg):

@@ -68,18 +68,16 @@ def test_streamed_export_matches_in_memory_text(tmp_path, field, n, k, d):
 def test_single_letter_block_has_one_singleton_row():
     rows = block_rows(3, (3,), 1)
     assert as_monomials(3, (3,), rows) == [(TriMonomial(3, (1, 1, 1)),)]
-    for variant in (1, 2, 3):
-        assert relation_generators(3, 1, variant)[0].occupants == (1, 1, 1)
+    assert relation_generators(3, 1)[0].occupants == (1, 1, 1)
 
 
 def test_distinct_letters_block_is_one_six_term_row():
-    for variant in (1, 2, 3):
-        rows = as_monomials(3, (1, 1, 1), block_rows(3, (1, 1, 1), 3, variant))
-        assert len(rows) == 1
-        assert len(rows[0]) == 6
-        assert {m.entries for m in rows[0]} == {
-            (1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)
-        }
+    rows = as_monomials(3, (1, 1, 1), block_rows(3, (1, 1, 1), 3))
+    assert len(rows) == 1
+    assert len(rows[0]) == 6
+    assert {m.entries for m in rows[0]} == {
+        (1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)
+    }
 
 
 def test_pair_block_is_one_three_term_row():
@@ -132,11 +130,9 @@ def test_degree_mismatch_rejected():
 def test_characteristic_guard_for_polarized_variants():
     gf2 = FieldSpec.prime(2, allow_small=True)
     with pytest.raises(CharacteristicUnsupported):
-        block_rows(3, (2, 1), 2, variant=2, field=gf2)
+        block_rows(3, (2, 1), 2, field=gf2)
     with pytest.raises(CharacteristicUnsupported):
-        assemble_relation_block(3, (2, 1), 2, FieldSpec.prime(3, allow_small=True), 3)
-    # variant 1 carries no restriction
-    assert block_rows(3, (2, 1), 2, variant=1, field=gf2)
+        assemble_relation_block(3, (2, 1), 2, FieldSpec.prime(3, allow_small=True))
 
 
 def test_triangle_relation_arrangements():

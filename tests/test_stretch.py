@@ -1,7 +1,10 @@
+import pickle
+
 import pytest
 
 from gsc.fields import FieldSpec
 from gsc.stretch import (
+    CHECKPOINT_SCHEMA,
     CONJECTURE_BLOCK,
     StretchBlock,
     _SignedUnionFind,
@@ -93,11 +96,19 @@ def test_rational_and_prime_pipelines_agree(tmp_path):
 def test_truncated_or_mismatched_checkpoint_starts_fresh(tmp_path):
     block = StretchBlock(n=4, k=(3, 3), d=2)
     want = stretch_rank(GFP, cache_dir=tmp_path, block=block)
-    path = _checkpoint_path(tmp_path, block, GFP.p, 3)
+    path = _checkpoint_path(tmp_path, block, GFP.p)
     other = StretchBlock(n=4, k=(2, 2, 2), d=3)
     stretch_rank(GFP, cache_dir=tmp_path / "other", block=other)
-    foreign = _checkpoint_path(tmp_path / "other", other, GFP.p, 3).read_bytes()
-    for bad, reason in ((path.read_bytes()[:100], "unreadable"), (foreign, "another block")):
+    foreign = _checkpoint_path(tmp_path / "other", other, GFP.p).read_bytes()
+    # a state saved by code with another schema, e.g. another row order
+    state = pickle.loads(path.read_bytes())
+    state.schema = CHECKPOINT_SCHEMA - 1
+    stale = pickle.dumps(state)
+    for bad, reason in (
+        (path.read_bytes()[:100], "unreadable"),
+        (foreign, "another block"),
+        (stale, f"schema {CHECKPOINT_SCHEMA - 1}"),
+    ):
         path.write_bytes(bad)
         messages = []
         rep = stretch_rank(GFP, cache_dir=tmp_path, block=block, progress=messages.append)
