@@ -281,7 +281,6 @@ def criterion_5(ctx: AcceptanceContext) -> list[ClaimResult]:
 
 def criterion_6(ctx: AcceptanceContext) -> list[ClaimResult]:
     rng = random.Random(ctx.seed + 6)
-    cfg = ctx.config()
     t0 = time.monotonic()
     bad = 0
     for _ in range(ctx.functoriality_samples):
@@ -289,7 +288,7 @@ def criterion_6(ctx: AcceptanceContext) -> list[ClaimResult]:
             [rng.randint(-5, 5), rng.randint(-5, 5)],
             [rng.randint(-5, 5), rng.randint(-5, 5)],
         ]
-        if induced_map_scalar(t, cfg) != det3(t):
+        if induced_map_scalar(t) != det3(t):
             bad += 1
     return [
         _claim(
@@ -516,7 +515,7 @@ def criterion_11(ctx: AcceptanceContext) -> list[ClaimResult]:
     )
     if not ctx.include_stretch:
         return out
-    for f in multi_prime_fields(ctx.table_field):
+    for f in [FieldSpec.rational(), *multi_prime_fields(ctx.table_field)]:
         t0 = time.monotonic()
         rep = stretch_rank(
             f, cache_dir=ctx.cache_dir, progress=None, time_budget=ctx.stretch_budget
@@ -529,8 +528,9 @@ def criterion_11(ctx: AcceptanceContext) -> list[ClaimResult]:
         out.append(
             ClaimResult(
                 criterion=11,
-                claim=f"conjecture block over GF({f.p}); "
-                "upper bound on the rational dimension, equals 1 iff the conjecture holds here",
+                claim=f"conjecture block over {f}; "
+                + ("exact over Q" if f.is_rational else "upper bound on the rational dimension")
+                + ", equals 1 iff the conjecture holds here",
                 expected="(reported, not asserted)",
                 computed=status,
                 passed=rep.finished,

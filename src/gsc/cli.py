@@ -18,9 +18,8 @@ from .diamond import check_gsc_axioms
 from .errors import GscError, ResourceLimit
 from .fields import FieldSpec
 from .quotient import QuotientConfig, quotient_reduce, total_dimension
-from .relations import assemble_relation_block, write_block_matrix_text
-from .sparse import write_matrix_text
-from .tensor import count_block_monomials, element_from_json_text
+from .relations import write_block_matrix_text
+from .tensor import element_from_json_text
 
 CSV_COLUMNS = (
     "d",
@@ -262,14 +261,7 @@ def cmd_export(n, k, d, field, output_path):
     fieldspec = _parse_field(field)
     kk = _parse_multidegree(k)
     try:
-        n_cols = count_block_monomials(n, kk)
-        if n_cols > 100_000:
-            rows, cols = write_block_matrix_text(n, kk, d, fieldspec, output_path)
-        else:
-            block = assemble_relation_block(n, kk, d, fieldspec)
-            rows, cols = block.matrix.n_rows, block.matrix.n_cols
-            with open(output_path, "w", newline="") as fh:
-                fh.write(write_matrix_text(block.matrix))
+        rows, cols = write_block_matrix_text(n, kk, d, fieldspec, output_path)
     except GscError as exc:
         click.echo(f"cannot assemble block: {exc}", err=True)
         sys.exit(2)

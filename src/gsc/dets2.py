@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import ShapeMismatch
 from .fields import FieldSpec
-from .quotient import LiftedFunctional, QuotientConfig, lift_two_alternating
+from .quotient import LiftedFunctional, lift_two_alternating
 from .tensor import TriMonomial, expand_multilinear
 
 # Positions of the six entries, in canonical order.
@@ -187,22 +186,17 @@ def check_two_alternating(samples: int, seed: int) -> TwoAlternatingReport:
     )
 
 
-def det_s2_functional(
-    field: FieldSpec | None = None,
-    config: QuotientConfig | None = None,
-) -> LiftedFunctional:
+def det_s2_functional(field: FieldSpec | None = None) -> LiftedFunctional:
     """The induced functional on the arity-5 quotient (d = 2).
 
     Lifts the monomial restriction through the two-alternating check;
     failure there would indicate a transcription error in the term table.
     """
     field = field or FieldSpec.rational()
-    return lift_two_alternating(monomial_functional, 4, 2, field, config)
+    return lift_two_alternating(monomial_functional, 4, 2, field)
 
 
-def induced_map_scalar(
-    t: Sequence[Sequence], config: QuotientConfig | None = None
-) -> object:
+def induced_map_scalar(t: Sequence[Sequence]) -> object:
     """Value of the functional on the entrywise image of the spanning
     monomial under a 2x2 matrix; contractually equals det(t)**3.
 
@@ -215,7 +209,7 @@ def induced_map_scalar(
         pos: cols[b] for pos, b in SPANNING_MONOMIAL.as_dict().items()
     }
     image = expand_multilinear(4, entries, 2)
-    functional = det_s2_functional(config=config)
+    functional = det_s2_functional()
     return functional.evaluate(image)
 
 

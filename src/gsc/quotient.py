@@ -404,12 +404,11 @@ class LiftedFunctional:
     """A functional on quotient coordinates, induced by a functional on
     monomials that annihilates every relation row."""
 
-    def __init__(self, phi, n, d, field, config):
+    def __init__(self, phi, n, d, field):
         self._phi = phi
         self.n = n
         self.d = d
         self.field = field
-        self._config = config
 
     def value_on_monomial(self, m: TriMonomial):
         return self.field.convert(self._phi(m))
@@ -427,18 +426,12 @@ class LiftedFunctional:
             )
         return total
 
-    def basis_values(self, k: MultiDegree):
-        """Values on the block's quotient basis (non-pivot monomials)."""
-        basis = quotient_basis(self.n, k, self.d, self.field, self._config)
-        return [(m, self.value_on_monomial(m)) for m in basis]
-
 
 def lift_two_alternating(
     phi,
     n: int,
     d: int,
     field: FieldSpec,
-    config: QuotientConfig | None = None,
 ) -> LiftedFunctional:
     """Lift a monomial functional through the quotient projection.
 
@@ -448,7 +441,6 @@ def lift_two_alternating(
     """
     from .errors import NotTwoAlternating
 
-    cfg = config or QuotientConfig()
     for k in multidegrees(n_triangle_entries(n), d):
         monomials = enumerate_block_monomials(n, k)
         values = [field.convert(phi(m)) for m in monomials]
@@ -461,4 +453,4 @@ def lift_two_alternating(
                     f"functional does not annihilate a relation row in block {k}",
                     row=tuple((monomials[c], 1) for c in row),
                 )
-    return LiftedFunctional(phi, n, d, field, cfg)
+    return LiftedFunctional(phi, n, d, field)

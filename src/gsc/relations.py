@@ -238,8 +238,8 @@ def write_block_matrix_text(
     Returns (rows, cols).  Unlike :func:`assemble_relation_block` this
     never materializes the monomial list or the matrix: columns come
     from the combinatorial ranking, rows are deduplicated by support.
-    Used for blocks too large to hold; output is byte-identical to the
-    in-memory route on blocks where both apply.
+    The output is byte-identical to ``write_matrix_text`` of the
+    assembled block; ``gsc export`` writes every block this way.
     """
     import os
     import shutil

@@ -5,20 +5,26 @@ The open case is the 15-entry block with five of each letter over a
 relation rows of at most six unit entries.  Everything here streams;
 nothing materializes the full matrix.
 
-The rank is taken in three phases, all exact over GF(p) or Q:
+The run moves through the phases stream -> peel -> done, all exact
+over GF(p) or Q:
 
-  peel   - single-entry rows kill their column class outright and
-           two-entry rows identify two classes up to a unit (weighted
-           union-find); rows are streamed once, the irreducible ones
-           stashed, and the stash is re-peeled in memory to a fixed
-           point.  This is Gaussian elimination restricted to unit and
-           binomial pivots, so it causes no fill-in at all.
-  core   - the surviving rows over class representatives are eliminated
-           with dict-backed sparse reduction.
+  stream - every relation row is read once and mapped through the
+           column classes of a signed union-find: a row with one
+           surviving term kills its class, a row with two identifies
+           two classes up to a unit, and longer rows are stashed.
+  peel   - the stash is re-peeled in memory to a fixed point.  Stream
+           and peel are Gaussian elimination restricted to unit and
+           binomial pivots, so they cause no fill-in at all.
+  core   - the surviving rows, over the live class roots, form an
+           ordinary sparse system; its rank comes from the Markowitz
+           engine of :mod:`gsc.sparse` in one call, and the phase
+           becomes done.
   total  - rank = merges + class deaths + core rank.
 
-Progress checkpoints (pickle under the cache directory) make the run
-resumable; a time budget stops at the next checkpoint, and an unreadable
+Checkpoints (pickle under the cache directory) land during the stream,
+after it and after the peel, so the run is resumable; a time budget is
+checked at stream checkpoints, at the end of the stream and after each
+peel sweep, and once the core starts it runs to the end.  An unreadable
 or mismatched checkpoint, or one saved under another checkpoint schema,
 is ignored.  A run over GF(p) reports a dimension that upper-bounds the
 rational one; a run with ``p = None`` is exact over Q.  The block is
@@ -30,13 +36,14 @@ from __future__ import annotations
 
 import pickle
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .cache import resolve_cache_dir
 from .errors import ResourceLimit
 from .fields import FieldSpec
 from .relations import iter_block_relations
+from .sparse import SparseMatrix, _sparse_eliminate
 from .tensor import count_block_monomials
 from .tensor import rank_in_block  # noqa: F401  unused here; perfbench/spans.py wraps this name
 
@@ -62,12 +69,14 @@ class StretchBlock:
 
 CONJECTURE_BLOCK = StretchBlock()
 CHECKPOINT_EVERY = 200_000
-# Bumped whenever the saved state or the row order changes: ``rows_done``
-# and the stream restart depend on both.  Schema 1 files (no version,
-# a generating-set number in the name) are never resumed.
-CHECKPOINT_SCHEMA = 2
-# dict-backed rows cost on the order of 100 bytes per stored entry, so
-# this keeps the core basis in the low tens of gigabytes
+# Bumped whenever the saved state or the row order changes: the stream
+# restart depends on both.  Schema 1 files (no version, a generating-set
+# number in the name) are never resumed; schema 2 files copy the
+# union-find's fields and hold a core basis of their own.
+CHECKPOINT_SCHEMA = 3
+# The core is eliminated in memory, with dict rows and per-column row
+# sets at roughly 100 bytes per entry; a core with more entries than
+# this is refused before elimination (fill-in only adds to it)
 MAX_BASIS_ENTRIES = 120_000_000
 
 
@@ -166,18 +175,18 @@ class StretchState:
     schema: int
     p: int | None
     block: StretchBlock
-    phase: str  # "stream" -> "peel" -> "core" -> "done"
-    parent: list
-    scale: list
-    dead: bytearray
-    merges: int
-    deaths: int
+    phase: str  # "stream" -> "peel" -> "done"
+    uf: _SignedUnionFind
     stash: list
-    basis: dict = dc_field(default_factory=dict)
-    rows_done: int = 0
+    core_rank: int = 0
 
-    def basis_entries(self) -> int:
-        return sum(len(r) for r in self.basis.values())
+    @property
+    def merges(self) -> int:
+        return self.uf.merges
+
+    @property
+    def deaths(self) -> int:
+        return self.uf.deaths
 
 
 def _checkpoint_path(cache_dir, block: StretchBlock, p):
@@ -244,11 +253,15 @@ def stretch_rank(
     block: StretchBlock = CONJECTURE_BLOCK,
     checkpoint_every: int = CHECKPOINT_EVERY,
 ) -> StretchReport:
-    """Rank of the block over one prime; checkpoints and resumes.
+    """Rank of the block over ``field``; checkpoints and resumes.
 
     With a ``time_budget`` (seconds) the run checkpoints and returns
-    ``finished=False`` when the budget expires; rerunning resumes from
-    the last checkpoint.
+    ``finished=False`` when the budget has expired at a stream
+    checkpoint, at the end of the stream or after a peel sweep;
+    rerunning resumes from the last checkpoint.  The core, once
+    started, runs to the end.  A core of more than
+    ``MAX_BASIS_ENTRIES`` entries raises :class:`ResourceLimit` after
+    the peel has been checkpointed.
 
     Rational runs are exact: the peel phase uses only unit and binomial
     pivots, so coefficients stay small and there is no fill-in; only a
@@ -262,33 +275,17 @@ def stretch_rank(
 
     state = _load(cache_dir, block, p, progress)
     if state is None:
-        n_cols = block.columns()
-        uf = _SignedUnionFind(p, n_cols)
         state = StretchState(
             schema=CHECKPOINT_SCHEMA,
             p=p,
             block=block,
             phase="stream",
-            parent=uf.parent,
-            scale=uf.scale,
-            dead=uf.dead,
-            merges=0,
-            deaths=0,
+            uf=_SignedUnionFind(p, block.columns()),
             stash=[],
         )
     elif progress:
         progress(f"resumed in phase {state.phase}")
-
-    uf = _SignedUnionFind(p, 0)
-    uf.parent = state.parent
-    uf.scale = state.scale
-    uf.dead = state.dead
-    uf.merges = state.merges
-    uf.deaths = state.deaths
-
-    def sync_and_save():
-        state.merges, state.deaths = uf.merges, uf.deaths
-        _save(state, cache_dir)
+    uf = state.uf
 
     finished = True
 
@@ -305,7 +302,7 @@ def stretch_rank(
                 stash_set.add(tuple(items))
             if count % checkpoint_every == 0:
                 if out_of_time():
-                    sync_and_save()
+                    _save(state, cache_dir)
                     finished = False
                     break
                 if progress and count % 1_000_000 == 0:
@@ -316,7 +313,7 @@ def stretch_rank(
         if finished:
             state.stash = sorted(stash_set)
             state.phase = "peel"
-            sync_and_save()
+            _save(state, cache_dir)
             if progress:
                 progress(
                     f"stream done: {count} rows, merges {uf.merges}, "
@@ -347,68 +344,35 @@ def stretch_rank(
             if out_of_time():
                 finished = False
                 break
-        if finished:
-            state.phase = "core"
-            state.rows_done = 0
-        sync_and_save()
+        _save(state, cache_dir)
 
-    if finished and state.phase == "core":
-        basis = state.basis
-        skip = state.rows_done
-        for idx, items in enumerate(state.stash):
-            if idx < skip:
-                continue
-            vec = dict(uf.reduce_row_items(items))
-            while vec:
-                lead = min(vec)
-                row = basis.get(lead)
-                if row is None:
-                    lead_val = vec[lead]
-                    if p is None:
-                        basis[lead] = {c: Fraction(v, 1) / lead_val for c, v in vec.items()}
-                    else:
-                        inv = pow(lead_val, p - 2, p)
-                        basis[lead] = {c: v * inv % p for c, v in vec.items()}
-                    break
-                coeff = vec.pop(lead)
-                for c, v in row.items():
-                    if c == lead:
-                        continue
-                    nv = vec.get(c, 0) - coeff * v
-                    if p is not None:
-                        nv %= p
-                    if nv:
-                        vec[c] = nv
-                    else:
-                        vec.pop(c, None)
-            state.rows_done = idx + 1
-            if (idx + 1) % checkpoint_every == 0:
-                over = state.basis_entries() > MAX_BASIS_ENTRIES
-                sync_and_save()
-                if over:
-                    raise ResourceLimit("core basis exceeded the memory budget; checkpointed")
-                if progress:
-                    progress(
-                        f"core: {idx + 1}/{len(state.stash)} rows, "
-                        f"rank {len(basis)}, nnz {state.basis_entries()}"
-                    )
-                if out_of_time():
-                    finished = False
-                    break
-        if finished:
-            state.phase = "done"
-        sync_and_save()
+    if finished and state.phase == "peel":
+        # the core: what the peel left, over the live class roots,
+        # eliminated in one call to the table engine
+        rows = [r for r in map(uf.reduce_row_items, state.stash) if r]
+        if sum(map(len, rows)) > MAX_BASIS_ENTRIES:
+            raise ResourceLimit("core exceeds the memory budget; peel checkpointed")
+        roots = {r: i for i, r in enumerate(sorted({c for row in rows for c, _ in row}))}
+        core = SparseMatrix(
+            len(rows), len(roots), field,
+            tuple(tuple((roots[c], v) for c, v in row) for row in rows),
+        )
+        pivot_cols, _ = _sparse_eliminate(core, want_reduced=False)
+        state.core_rank = len(pivot_cols)
+        state.phase = "done"
+        _save(state, cache_dir)
+        if progress:
+            progress(f"core: {core.n_rows} rows on {core.n_cols} classes, rank {state.core_rank}")
 
     n_cols = block.columns()
     peel_rank = uf.merges + uf.deaths
-    core_rank = len(state.basis)
-    rank = peel_rank + core_rank
+    rank = peel_rank + state.core_rank
     return StretchReport(
         p=p,
         n_columns=n_cols,
         peel_rank=peel_rank,
         core_rows=len(state.stash),
-        core_rank=core_rank,
+        core_rank=state.core_rank,
         rank=rank,
         dimension=n_cols - rank,
         seconds=time.monotonic() - t0,

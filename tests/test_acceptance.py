@@ -128,6 +128,25 @@ def test_criterion_11_conjecture_block_assembly(ctx):
         assert res.passed
 
 
+def test_criterion_11_runs_rational_field_first(tmp_path, monkeypatch):
+    # the opt-in stretch path, pointed at a 20-column block
+    from functools import partial
+
+    from gsc import stretch
+
+    small = stretch.StretchBlock(n=4, k=(3, 3), d=2)
+    monkeypatch.setattr(stretch, "stretch_rank", partial(stretch.stretch_rank, block=small))
+    results = CRITERIA[11](AcceptanceContext(cache_dir=tmp_path, include_stretch=True))
+    runs = results[1:]
+    assert [r.claim.split(";")[0] for r in runs] == [
+        "conjecture block over Q",
+        *(f"conjecture block over {f}" for f in acceptance.multi_prime_fields()),
+    ]
+    assert "exact over Q" in runs[0].claim
+    assert all("upper bound on the rational dimension" in r.claim for r in runs[1:])
+    assert all(r.passed and r.computed.startswith("dimension 1 ") for r in runs)
+
+
 @pytest.mark.skipif(
     not os.environ.get("GSC_STRETCH"),
     reason="long conjecture-block run (minutes per prime); set GSC_STRETCH=1 to run",

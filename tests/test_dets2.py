@@ -69,12 +69,12 @@ def test_check_two_alternating_report():
 
 
 def test_functional_on_spanning_monomial(cfg):
-    f = det_s2_functional(config=cfg)
+    f = det_s2_functional()
     assert f.evaluate(TriElement.monomial(SPANNING_MONOMIAL)) == 1
 
 
 def test_functional_kills_repeated_letters(cfg):
-    f = det_s2_functional(config=cfg)
+    f = det_s2_functional()
     m = TriMonomial(4, (1, 1, 1, 1, 2, 2))
     assert f.evaluate(TriElement.monomial(m)) == 0
 
@@ -82,7 +82,7 @@ def test_functional_kills_repeated_letters(cfg):
 def test_functional_kills_reduced_zeros(cfg):
     from gsc.tensor import expand_multilinear, triangle_positions
 
-    f = det_s2_functional(config=cfg)
+    f = det_s2_functional()
     g = expand_multilinear(3, {p: (1, -2) for p in triangle_positions(3)}, 2)
     # push the size-3 generator image to size 4 by inserting the arity-2
     # element at slot 4 with a bridging column
@@ -102,7 +102,7 @@ def test_one_dimensional_proportionality(cfg):
     rng = random.Random(3)
     from gsc.quotient import quotient_basis
 
-    f = det_s2_functional(config=cfg)
+    f = det_s2_functional()
     (q,) = quotient_basis(4, (3, 3), 2, f.field, config=cfg)
     fq = f.value_on_monomial(q)
     for _ in range(20):
@@ -122,9 +122,9 @@ def test_one_dimensional_proportionality(cfg):
 
 
 def test_functoriality_fixed_instances(cfg):
-    assert induced_map_scalar([[1, 0], [0, 1]], cfg) == 1
-    assert induced_map_scalar([[2, 0], [0, 1]], cfg) == 8
-    assert induced_map_scalar([[0, 1], [1, 0]], cfg) == -1
+    assert induced_map_scalar([[1, 0], [0, 1]]) == 1
+    assert induced_map_scalar([[2, 0], [0, 1]]) == 8
+    assert induced_map_scalar([[0, 1], [1, 0]]) == -1
 
 
 def test_functoriality_random_matrices(cfg):
@@ -134,7 +134,7 @@ def test_functoriality_random_matrices(cfg):
             [rng.randint(-5, 5), rng.randint(-5, 5)],
             [rng.randint(-5, 5), rng.randint(-5, 5)],
         ]
-        assert induced_map_scalar(t, cfg) == det3(t)
+        assert induced_map_scalar(t) == det3(t)
 
 
 def test_monomial_functional_values():

@@ -168,12 +168,12 @@ def test_vanishing_check_all_cases(cfg):
 
 def test_lift_rejects_non_alternating_functional(cfg):
     with pytest.raises(NotTwoAlternating) as err:
-        lift_two_alternating(lambda m: 1, 3, 1, Q, config=cfg)
+        lift_two_alternating(lambda m: 1, 3, 1, Q)
     assert err.value.row is not None
 
 
 def test_lift_zero_functional(cfg):
-    f = lift_two_alternating(lambda m: 0, 3, 2, Q, config=cfg)
+    f = lift_two_alternating(lambda m: 0, 3, 2, Q)
     x = TriElement.monomial(TriMonomial(3, (1, 2, 1)))
     assert f.evaluate(x) == 0
 
@@ -182,7 +182,7 @@ def test_lift_agrees_with_projection(cfg):
     """f(reduce(m)) == phi(m) for every monomial: the lift factors."""
     from gsc.dets2 import monomial_functional
 
-    f = lift_two_alternating(monomial_functional, 4, 2, Q, config=cfg)
+    f = lift_two_alternating(monomial_functional, 4, 2, Q)
     from gsc.tensor import enumerate_block_monomials, multidegrees
 
     for k in multidegrees(6, 2):

@@ -1,7 +1,10 @@
 import pickle
+from dataclasses import replace
 
 import pytest
 
+import gsc.stretch
+from gsc.errors import ResourceLimit
 from gsc.fields import FieldSpec
 from gsc.stretch import (
     CHECKPOINT_SCHEMA,
@@ -41,14 +44,19 @@ def test_pipeline_matches_block_dimension_table(tmp_path):
 
     clear_memory_cache()
     cfg = QuotientConfig(cache_dir=tmp_path / "q")
-    for n, k, d in ((4, (3, 2, 1), 3), (4, (2, 2, 2), 3), (5, (4, 4, 2), 3)):
-        rep = stretch_rank(GFP, cache_dir=tmp_path / "s", block=StretchBlock(n, k, d))
-        table = block_dimension(n, k, d, GFP, config=cfg)
-        assert rep.rank == table.rank, (n, k)
-        assert rep.dimension == table.dimension
+    blocks = ((4, (3, 2, 1), 3), (4, (2, 2, 2), 3), (5, (4, 4, 2), 3), (5, (4, 3, 3), 3))
+    for field in (FieldSpec.rational(), GFP):
+        for n, k, d in blocks:
+            rep = stretch_rank(field, cache_dir=tmp_path / "s", block=StretchBlock(n, k, d))
+            table = block_dimension(n, k, d, field, config=cfg)
+            assert rep.rank == table.rank, (n, k, field)
+            assert rep.dimension == table.dimension
+            if k == (4, 3, 3):
+                # 2,060 rows survive the peel: the core engine does real work
+                assert rep.core_rows == 2060 and rep.core_rank > 0
 
 
-def test_checkpoint_and_resume(tmp_path):
+def test_checkpoint_and_resume(tmp_path, monkeypatch):
     block = StretchBlock(n=5, k=(5, 5), d=2)
     # a zero budget stops at the first phase boundary
     rep1 = stretch_rank(
@@ -62,6 +70,34 @@ def test_checkpoint_and_resume(tmp_path):
     # fresh single-shot run agrees with the resumed one
     rep3 = stretch_rank(GFP, cache_dir=tmp_path / "fresh", block=block)
     assert rep3.rank == rep2.rank
+    # a further call resumes the finished run without streaming and
+    # reports what was saved; the second block has a core, so this also
+    # shows that the core rank is persisted
+    with_core = StretchBlock(n=4, k=(2, 2, 2), d=3)
+    done = {block: rep2, with_core: stretch_rank(GFP, cache_dir=tmp_path, block=with_core)}
+    assert done[with_core].core_rank > 0
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a finished run streamed rows")
+
+    monkeypatch.setattr(gsc.stretch, "iter_block_relations", no_rows)
+    for b, want in done.items():
+        messages = []
+        again = stretch_rank(GFP, cache_dir=tmp_path, block=b, progress=messages.append)
+        assert messages == ["resumed in phase done"]
+        assert replace(again, seconds=0.0) == replace(want, seconds=0.0)
+
+
+def test_oversized_core_is_refused_after_the_peel_is_saved(tmp_path, monkeypatch):
+    block = StretchBlock(n=4, k=(2, 2, 2), d=3)  # nothing peels: a 96-row core
+    monkeypatch.setattr(gsc.stretch, "MAX_BASIS_ENTRIES", 10)
+    with pytest.raises(ResourceLimit, match="core exceeds the memory budget"):
+        stretch_rank(GFP, cache_dir=tmp_path, block=block)
+    monkeypatch.undo()
+    messages = []
+    rep = stretch_rank(GFP, cache_dir=tmp_path, block=block, progress=messages.append)
+    assert messages[0] == "resumed in phase peel"
+    assert rep.finished and (rep.core_rows, rep.rank, rep.dimension) == (96, 68, 22)
 
 
 def test_union_find_scales():
