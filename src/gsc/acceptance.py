@@ -56,6 +56,13 @@ from .tensor import (
 
 Word = tuple
 
+# Random samples per claim: criterion 5 (two-alternating checks),
+# criterion 6 (functoriality matrices), criterion 10 (repeated-letter
+# monomials per block).
+ALTERNATING_SAMPLES = 200
+VANISHING_SAMPLES = 100
+FUNCTORIALITY_SAMPLES = 50
+
 
 def reference_values() -> dict:
     with resources.files("gsc.data").joinpath("reference_values.json").open() as fh:
@@ -84,9 +91,6 @@ class AcceptanceContext:
     table_field: FieldSpec = dc_field(default_factory=FieldSpec.rational)
     cache_dir: object = None
     trials: int = 500
-    alternating_samples: int = 200
-    vanishing_samples: int = 100
-    functoriality_samples: int = 50
     seed: int = 20240
     include_stretch: bool = False
     stretch_budget: float | None = None
@@ -266,11 +270,11 @@ def criterion_5(ctx: AcceptanceContext) -> list[ClaimResult]:
         )
     )
     t0 = time.monotonic()
-    rep = check_two_alternating(ctx.alternating_samples, ctx.seed)
+    rep = check_two_alternating(ALTERNATING_SAMPLES, ctx.seed)
     out.append(
         _claim(
             5,
-            f"{ctx.alternating_samples} triangle-coincidence and linearity samples",
+            f"{ALTERNATING_SAMPLES} triangle-coincidence and linearity samples",
             "(0, 0)",
             (rep.coincidence_failures, rep.linearity_failures),
             t0,
@@ -283,7 +287,7 @@ def criterion_6(ctx: AcceptanceContext) -> list[ClaimResult]:
     rng = random.Random(ctx.seed + 6)
     t0 = time.monotonic()
     bad = 0
-    for _ in range(ctx.functoriality_samples):
+    for _ in range(FUNCTORIALITY_SAMPLES):
         t = [
             [rng.randint(-5, 5), rng.randint(-5, 5)],
             [rng.randint(-5, 5), rng.randint(-5, 5)],
@@ -294,7 +298,7 @@ def criterion_6(ctx: AcceptanceContext) -> list[ClaimResult]:
         _claim(
             6,
             f"entrywise map multiplies the functional by det**3 "
-            f"({ctx.functoriality_samples} random matrices)",
+            f"({FUNCTORIALITY_SAMPLES} random matrices)",
             0,
             bad,
             t0,
@@ -487,13 +491,13 @@ def criterion_10(ctx: AcceptanceContext) -> list[ClaimResult]:
     for n, d, field in cases:
         t0 = time.monotonic()
         rep = repeated_letter_vanishing_check(
-            n, d, ctx.vanishing_samples, ctx.seed + n + d,
+            n, d, VANISHING_SAMPLES, ctx.seed + n + d,
             field=field, config=ctx.config(no_shortcut=True),
         )
         out.append(
             _claim(
                 10,
-                f"{ctx.vanishing_samples} repeated-letter monomials vanish "
+                f"{VANISHING_SAMPLES} repeated-letter monomials vanish "
                 f"(size {n}, dim V={d}, {field})",
                 0,
                 len(rep.failures),

@@ -147,7 +147,12 @@ def cmd_dims(d, max_arity, field, per_block, no_shortcut, fmt, cache_dir):
 @click.option("--seed", type=int, default=20240, show_default=True)
 @click.option("--trials", type=int, default=500, show_default=True, help="Law-suite trials.")
 @click.option("--stretch", is_flag=True, help="Also run the long conjecture-block computation.")
-@click.option("--stretch-budget", type=float, default=None, help="Seconds before checkpoint-and-stop.")
+@click.option(
+    "--stretch-budget",
+    type=float,
+    default=None,
+    help="Seconds before checkpoint-and-stop; checked after the stream and after each peel sweep.",
+)
 @cache_option
 def cmd_verify_paper(field, seed, trials, stretch, stretch_budget, cache_dir):
     """Recompute every published value and print pass/fail per claim."""

@@ -137,17 +137,13 @@ class FieldSpec:
         raise ValueError(f"unrecognized field {text!r} (want 'rational' or 'prime:P')")
 
 
-def multi_prime_fields(preferred: FieldSpec | None = None, count: int = 3) -> list[FieldSpec]:
-    """Distinct primes > 3 for cross-checking large blocks.
+def multi_prime_fields(preferred: FieldSpec | None = None) -> list[FieldSpec]:
+    """Three distinct primes > 3 for cross-checking large blocks.
 
     If ``preferred`` is a prime field it is listed first.
     """
     primes: list[int] = []
     if preferred is not None and preferred.p is not None and preferred.p > 3:
         primes.append(preferred.p)
-    for p in MULTI_PRIME_SET:
-        if p not in primes:
-            primes.append(p)
-        if len(primes) == count:
-            break
-    return [FieldSpec(p) for p in primes[:count]]
+    primes += [p for p in MULTI_PRIME_SET if p not in primes]
+    return [FieldSpec(p) for p in primes[:3]]

@@ -13,20 +13,13 @@ from __future__ import annotations
 import random
 import threading
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .cache import BlockCache
 from .errors import ResourceLimit, ShapeMismatch
 from .fields import FieldSpec
 from .relations import assemble_relation_block, block_rows
-from .sparse import (
-    DEFAULT_LIMITS,
-    EchelonForm,
-    RunLimits,
-    check_columns,
-    rank_sparse,
-    rref_sparse,
-)
+from .sparse import EchelonForm, check_columns, rank_sparse, rref_sparse
 from .tensor import (
     MultiDegree,
     TriElement,
@@ -95,12 +88,12 @@ class BlockReport:
 class QuotientConfig:
     """Shared read-only configuration for block computations.
 
-    Every block is eliminated over the requested field; ``limits``
-    refuses blocks too wide for that field before they are assembled.
+    Every block is eliminated over the requested field; blocks too wide
+    for that field (``sparse.check_columns``) are refused before they
+    are assembled.
     """
 
     cache_dir: object = None
-    limits: RunLimits = dc_field(default_factory=lambda: DEFAULT_LIMITS)
     no_shortcut: bool = False
 
     def cache(self) -> BlockCache:
@@ -179,9 +172,9 @@ def block_dimension(
     else:
         t0 = time.monotonic()
         try:
-            check_columns(n_monomials, field, cfg.limits)
+            check_columns(n_monomials, field)
             block = assemble_relation_block(n, k, d, field)
-            rank = rank_sparse(block.matrix, cfg.limits)
+            rank = rank_sparse(block.matrix)
         except ResourceLimit as exc:
             raise ResourceLimit(f"block n={n} k={k} over {field}: {exc}") from exc
         millis = int((time.monotonic() - t0) * 1000)
@@ -259,7 +252,7 @@ def block_echelon(
     ech = cache.load_echelon(d, n, k, field)
     if ech is None:
         block = assemble_relation_block(n, k, d, field)
-        ech = rref_sparse(block.matrix, cfg.limits)
+        ech = rref_sparse(block.matrix)
         cache.store_echelon(d, n, k, field, ech)
     _mem_put(key, ech)
     return ech

@@ -20,14 +20,14 @@ characteristic 2 or 3 is refused.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations, repeat
 from typing import Iterator
 
 import numpy as np
 
 from .errors import CharacteristicUnsupported, DegreeMismatch
 from .fields import FieldSpec
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, write_matrix_rows
 from .tensor import (
     MultiDegree,
     TriMonomial,
@@ -233,42 +233,24 @@ def write_block_matrix_text(
     field: FieldSpec,
     path,
 ) -> tuple[int, int]:
-    """Stream one block's relation matrix to ``path`` in the text format.
+    """Write one block's relation matrix to ``path`` in the text format.
 
     Returns (rows, cols).  Unlike :func:`assemble_relation_block` this
     never materializes the monomial list or the matrix: columns come
-    from the combinatorial ranking, rows are deduplicated by support.
+    from the combinatorial ranking and rows from :func:`block_rows`.
     The output is byte-identical to ``write_matrix_text`` of the
     assembled block; ``gsc export`` writes every block this way.
     """
-    import os
-    import shutil
-    import tempfile
-
+    k = tuple(k)
     _check_field(field)
-    n_cols = count_block_monomials(n, tuple(k))
-    modulus = 0 if field.is_rational else field.p
-    seen: set[tuple[int, ...]] = set()
-    n_rows = 0
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
-    try:
-        with os.fdopen(fd, "w") as body:
-            for cols in iter_block_relations(n, tuple(k), d, field):
-                if cols in seen:
-                    continue
-                seen.add(cols)
-                for c in cols:
-                    body.write(f"{n_rows + 1} {c + 1} 1\n")
-                n_rows += 1
-        with open(path, "w", newline="") as out:
-            out.write(f"{n_rows} {n_cols} {modulus}\n")
-            with open(tmp) as body:
-                shutil.copyfileobj(body, out)
-            out.write("0 0 0\n")
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return n_rows, n_cols
+    _check_block(n, k)
+    n_cols = count_block_monomials(n, k)
+    # opened before the rows are built, so a bad path fails fast
+    with open(path, "w", newline="") as out:
+        rows = block_rows(n, k, d)
+        # every entry is 1, whose text is the same in every field
+        write_matrix_rows(out, len(rows), n_cols, field, (zip(row, repeat(1)) for row in rows))
+    return len(rows), n_cols
 
 
 def block_row_count(size: int, k: MultiDegree, d: int) -> int:

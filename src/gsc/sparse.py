@@ -10,33 +10,24 @@ exact over every field and deterministic.
 from __future__ import annotations
 
 import heapq
+import io
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 from .errors import ResourceLimit, ShapeMismatch
 from .fields import FieldSpec
 
+# Rational elimination on wider matrices is refused; callers use a prime
+# field instead, whose dimension upper-bounds the rational one.
+MAX_RATIONAL_COLUMNS = 10_000
 # Prime-field matrices wider than this are refused; the streaming
 # stretch path is the way to attack such blocks.
 MAX_PRIME_COLUMNS = 50_000
-
-
-@dataclass(frozen=True)
-class RunLimits:
-    """Resource guards for elimination.
-
-    ``max_rational_cols``: rational elimination on wider matrices is
-    refused; callers use a prime field instead, whose dimension
-    upper-bounds the rational one.
-    ``max_entries``: crude memory budget on stored nonzeros.
-    """
-
-    max_rational_cols: int = 10_000
-    max_entries: int = 200_000_000
-
-
-DEFAULT_LIMITS = RunLimits()
+# Memory budget of the dict-row engine, which stores roughly 100 bytes
+# per nonzero: a matrix (or a stretch core) with more entries is refused
+# before elimination, since fill-in only adds to it.
+MAX_ENTRIES = 120_000_000
 
 
 @dataclass(frozen=True)
@@ -147,12 +138,12 @@ class EchelonForm:
         return {c: v for c, v in out.items() if v}
 
 
-def check_columns(n_cols: int, field: FieldSpec, limits: RunLimits) -> None:
+def check_columns(n_cols: int, field: FieldSpec) -> None:
     """Refuse elimination on ``n_cols`` columns over ``field`` if too wide."""
-    if field.is_rational and n_cols > limits.max_rational_cols:
+    if field.is_rational and n_cols > MAX_RATIONAL_COLUMNS:
         raise ResourceLimit(
             f"rational elimination refused on {n_cols} columns "
-            f"(limit {limits.max_rational_cols}); use prime fields"
+            f"(limit {MAX_RATIONAL_COLUMNS}); use prime fields"
         )
     if not field.is_rational and n_cols > MAX_PRIME_COLUMNS:
         raise ResourceLimit(
@@ -161,12 +152,10 @@ def check_columns(n_cols: int, field: FieldSpec, limits: RunLimits) -> None:
         )
 
 
-def _check_limits(m: SparseMatrix, limits: RunLimits) -> None:
-    check_columns(m.n_cols, m.field, limits)
-    if m.n_entries > limits.max_entries:
-        raise ResourceLimit(
-            f"{m.n_entries} stored entries exceed budget {limits.max_entries}"
-        )
+def _check_limits(m: SparseMatrix) -> None:
+    check_columns(m.n_cols, m.field)
+    if m.n_entries > MAX_ENTRIES:
+        raise ResourceLimit(f"{m.n_entries} stored entries exceed budget {MAX_ENTRIES}")
 
 
 def _sparse_eliminate(
@@ -248,16 +237,16 @@ def _sparse_eliminate(
     return pivot_cols, pivot_rows
 
 
-def rank_sparse(m: SparseMatrix, limits: RunLimits = DEFAULT_LIMITS) -> int:
+def rank_sparse(m: SparseMatrix) -> int:
     """Exact rank of ``m`` over its field; deterministic elimination."""
-    _check_limits(m, limits)
+    _check_limits(m)
     pivot_cols, _ = _sparse_eliminate(m, want_reduced=False)
     return len(pivot_cols)
 
 
-def rref_sparse(m: SparseMatrix, limits: RunLimits = DEFAULT_LIMITS) -> EchelonForm:
+def rref_sparse(m: SparseMatrix) -> EchelonForm:
     """Reduced row-echelon form of ``m``; row space preserved."""
-    _check_limits(m, limits)
+    _check_limits(m)
     pivot_cols, pivot_rows = _sparse_eliminate(m, want_reduced=True)
     return EchelonForm(
         n_cols=m.n_cols,
@@ -287,13 +276,26 @@ def _scalar_from_text(s: str):
     return int(s)
 
 
+def write_matrix_rows(out: TextIO, n_rows: int, n_cols: int, field: FieldSpec, rows) -> None:
+    """Stream a matrix to the text file ``out``, one row of pairs at a time.
+
+    ``rows`` yields ``n_rows`` rows of (col, value) pairs, in order.
+    """
+    modulus = 0 if field.is_rational else field.p
+    out.write(f"{n_rows} {n_cols} {modulus}\n")
+    last = text = None  # formatting is the slow part: reuse it for a repeated value
+    for r, row in enumerate(rows, 1):
+        for c, v in row:
+            if v is not last:
+                last, text = v, _scalar_to_text(v)
+            out.write(f"{r} {c + 1} {text}\n")
+    out.write("0 0 0\n")
+
+
 def write_matrix_text(m: SparseMatrix) -> str:
-    modulus = 0 if m.field.is_rational else m.field.p
-    lines = [f"{m.n_rows} {m.n_cols} {modulus}"]
-    for r, c, v in m.iter_entries():
-        lines.append(f"{r + 1} {c + 1} {_scalar_to_text(v)}")
-    lines.append("0 0 0")
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    write_matrix_rows(out, m.n_rows, m.n_cols, m.field, m.rows)
+    return out.getvalue()
 
 
 def read_matrix_text(text: str) -> SparseMatrix:

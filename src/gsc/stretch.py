@@ -21,15 +21,17 @@ over GF(p) or Q:
            becomes done.
   total  - rank = merges + class deaths + core rank.
 
-Checkpoints (pickle under the cache directory) land during the stream,
-after it and after the peel, so the run is resumable; a time budget is
-checked at stream checkpoints, at the end of the stream and after each
-peel sweep, and once the core starts it runs to the end.  An unreadable
-or mismatched checkpoint, or one saved under another checkpoint schema,
-is ignored.  A run over GF(p) reports a dimension that upper-bounds the
-rational one; a run with ``p = None`` is exact over Q.  The block is
-parameterizable so the identical pipeline is exercised on small blocks
-by the tests; the defaults are the open case.
+The stream is one uninterrupted pass, since a rerun could not resume
+inside it without streaming every row again.  Checkpoints (pickle under
+the cache directory) land after the stream, after the peel and when the
+run is done, so a rerun resumes in phase peel or done.  A time budget
+is checked after the stream and after each peel sweep; once the core
+starts it runs to the end.  An unreadable or mismatched checkpoint, or
+one saved under another checkpoint schema, is ignored.  A run over
+GF(p) reports a dimension that upper-bounds the rational one; a run
+with ``p = None`` is exact over Q.  The block is parameterizable so the
+identical pipeline is exercised on small blocks by the tests; the
+defaults are the open case.
 """
 
 from __future__ import annotations
@@ -39,11 +41,11 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import sparse
 from .cache import resolve_cache_dir
 from .errors import ResourceLimit
 from .fields import FieldSpec
 from .relations import iter_block_relations
-from .sparse import SparseMatrix, _sparse_eliminate
 from .tensor import count_block_monomials
 from .tensor import rank_in_block  # noqa: F401  unused here; perfbench/spans.py wraps this name
 
@@ -68,16 +70,11 @@ class StretchBlock:
 
 
 CONJECTURE_BLOCK = StretchBlock()
-CHECKPOINT_EVERY = 200_000
-# Bumped whenever the saved state or the row order changes: the stream
-# restart depends on both.  Schema 1 files (no version, a generating-set
-# number in the name) are never resumed; schema 2 files copy the
-# union-find's fields and hold a core basis of their own.
-CHECKPOINT_SCHEMA = 3
-# The core is eliminated in memory, with dict rows and per-column row
-# sets at roughly 100 bytes per entry; a core with more entries than
-# this is refused before elimination (fill-in only adds to it)
-MAX_BASIS_ENTRIES = 120_000_000
+# Bumped whenever the saved state or the rows it is built from change.
+# Schema 1 files (no version, a generating-set number in the name) are
+# never resumed; schema 2 files copy the union-find's fields and hold a
+# core basis of their own; schema 3 files may be saved inside the stream.
+CHECKPOINT_SCHEMA = 4
 
 
 def stretch_column_count() -> int:
@@ -175,7 +172,7 @@ class StretchState:
     schema: int
     p: int | None
     block: StretchBlock
-    phase: str  # "stream" -> "peel" -> "done"
+    phase: str  # "peel" -> "done"; nothing is saved inside the stream
     uf: _SignedUnionFind
     stash: list
     core_rank: int = 0
@@ -245,23 +242,38 @@ class StretchReport:
     finished: bool
 
 
+def _report(state: StretchState, t0: float) -> StretchReport:
+    n_cols = state.block.columns()
+    peel_rank = state.merges + state.deaths
+    rank = peel_rank + state.core_rank
+    return StretchReport(
+        p=state.p,
+        n_columns=n_cols,
+        peel_rank=peel_rank,
+        core_rows=len(state.stash),
+        core_rank=state.core_rank,
+        rank=rank,
+        dimension=n_cols - rank,
+        seconds=time.monotonic() - t0,
+        finished=state.phase == "done",
+    )
+
+
 def stretch_rank(
     field: FieldSpec,
     cache_dir=None,
     progress=None,
     time_budget: float | None = None,
     block: StretchBlock = CONJECTURE_BLOCK,
-    checkpoint_every: int = CHECKPOINT_EVERY,
 ) -> StretchReport:
     """Rank of the block over ``field``; checkpoints and resumes.
 
     With a ``time_budget`` (seconds) the run checkpoints and returns
-    ``finished=False`` when the budget has expired at a stream
-    checkpoint, at the end of the stream or after a peel sweep;
-    rerunning resumes from the last checkpoint.  The core, once
-    started, runs to the end.  A core of more than
-    ``MAX_BASIS_ENTRIES`` entries raises :class:`ResourceLimit` after
-    the peel has been checkpointed.
+    ``finished=False`` when the budget has expired; it is checked after
+    the stream and after each peel sweep, and rerunning resumes from the
+    last checkpoint.  The stream and the core, once started, run to the
+    end.  A core of more than ``sparse.MAX_ENTRIES`` entries raises
+    :class:`ResourceLimit` after the peel has been checkpointed.
 
     Rational runs are exact: the peel phase uses only unit and binomial
     pivots, so coefficients stay small and there is no fill-in; only a
@@ -274,25 +286,12 @@ def stretch_rank(
         return time_budget is not None and time.monotonic() - t0 > time_budget
 
     state = _load(cache_dir, block, p, progress)
-    if state is None:
-        state = StretchState(
-            schema=CHECKPOINT_SCHEMA,
-            p=p,
-            block=block,
-            phase="stream",
-            uf=_SignedUnionFind(p, block.columns()),
-            stash=[],
-        )
-    elif progress:
-        progress(f"resumed in phase {state.phase}")
-    uf = state.uf
-
-    finished = True
-
-    if state.phase == "stream":
+    if state is not None:
+        if progress:
+            progress(f"resumed in phase {state.phase}")
+    else:
         # One pass over every relation row; short rows peel immediately.
-        # Absorbed rows re-reduce to empty, so a budget stop here may
-        # simply restart the stream against the saved classes on resume.
+        uf = _SignedUnionFind(p, block.columns())
         stash_set = set()
         count = 0
         for cols in iter_block_relations(block.n, block.k, block.d):
@@ -300,29 +299,23 @@ def stretch_rank(
             items = uf.reduce_row(cols)
             if not uf.absorb(items):
                 stash_set.add(tuple(items))
-            if count % checkpoint_every == 0:
-                if out_of_time():
-                    _save(state, cache_dir)
-                    finished = False
-                    break
-                if progress and count % 1_000_000 == 0:
-                    progress(
-                        f"stream: {count} rows, merges {uf.merges}, "
-                        f"deaths {uf.deaths}, stash {len(stash_set)}"
-                    )
-        if finished:
-            state.stash = sorted(stash_set)
-            state.phase = "peel"
-            _save(state, cache_dir)
-            if progress:
+            if progress and count % 1_000_000 == 0:
                 progress(
-                    f"stream done: {count} rows, merges {uf.merges}, "
-                    f"deaths {uf.deaths}, stash {len(state.stash)}"
+                    f"stream: {count} rows, merges {uf.merges}, "
+                    f"deaths {uf.deaths}, stash {len(stash_set)}"
                 )
-            if out_of_time():
-                finished = False
+        state = StretchState(CHECKPOINT_SCHEMA, p, block, "peel", uf, sorted(stash_set))
+        _save(state, cache_dir)
+        if progress:
+            progress(
+                f"stream done: {count} rows, merges {uf.merges}, "
+                f"deaths {uf.deaths}, stash {len(state.stash)}"
+            )
+        if out_of_time():
+            return _report(state, t0)
+    uf = state.uf
 
-    if finished and state.phase == "peel":
+    if state.phase == "peel":
         # re-peel the stash to a fixed point entirely in memory
         sweep = 0
         while True:
@@ -339,42 +332,27 @@ def stretch_rank(
                 progress(
                     f"peel sweep {sweep}: +{changed} pivots, stash {len(state.stash)}"
                 )
-            if not changed:
-                break
-            if out_of_time():
-                finished = False
+            if not changed or out_of_time():
                 break
         _save(state, cache_dir)
+        if changed:  # the budget ran out before the fixed point
+            return _report(state, t0)
 
-    if finished and state.phase == "peel":
         # the core: what the peel left, over the live class roots,
         # eliminated in one call to the table engine
         rows = [r for r in map(uf.reduce_row_items, state.stash) if r]
-        if sum(map(len, rows)) > MAX_BASIS_ENTRIES:
+        if sum(map(len, rows)) > sparse.MAX_ENTRIES:
             raise ResourceLimit("core exceeds the memory budget; peel checkpointed")
         roots = {r: i for i, r in enumerate(sorted({c for row in rows for c, _ in row}))}
-        core = SparseMatrix(
+        core = sparse.SparseMatrix(
             len(rows), len(roots), field,
             tuple(tuple((roots[c], v) for c, v in row) for row in rows),
         )
-        pivot_cols, _ = _sparse_eliminate(core, want_reduced=False)
+        pivot_cols, _ = sparse._sparse_eliminate(core, want_reduced=False)
         state.core_rank = len(pivot_cols)
         state.phase = "done"
         _save(state, cache_dir)
         if progress:
             progress(f"core: {core.n_rows} rows on {core.n_cols} classes, rank {state.core_rank}")
 
-    n_cols = block.columns()
-    peel_rank = uf.merges + uf.deaths
-    rank = peel_rank + state.core_rank
-    return StretchReport(
-        p=p,
-        n_columns=n_cols,
-        peel_rank=peel_rank,
-        core_rows=len(state.stash),
-        core_rank=state.core_rank,
-        rank=rank,
-        dimension=n_cols - rank,
-        seconds=time.monotonic() - t0,
-        finished=finished and state.phase == "done",
-    )
+    return _report(state, t0)

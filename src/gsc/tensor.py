@@ -534,27 +534,3 @@ def element_to_json_text(x: TriElement) -> str:
 
 def element_from_json_text(text: str) -> TriElement:
     return element_from_json(json.loads(text))
-
-
-def rect_element_to_json(x: RectElement) -> dict:
-    return {
-        "rows": x.rows,
-        "cols": x.cols,
-        "terms": [
-            {"entries": list(m.entries), "coeff": _coeff_to_json(c)}
-            for m, c in sorted(x.terms.items(), key=lambda t: t[0])
-        ],
-    }
-
-
-def rect_element_from_json(obj: Mapping) -> RectElement:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    terms: dict[RectMonomial, object] = {}
-    for t in obj.get("terms", []):
-        m = RectMonomial(rows, cols, tuple(int(e) for e in t["entries"]))
-        c = _coeff_from_json(t["coeff"])
-        if m in terms:
-            raise ValueError(f"duplicate grid {m} in element document")
-        if c:
-            terms[m] = c
-    return RectElement(rows, cols, terms)

@@ -73,10 +73,9 @@ def test_dims_usage_errors(runner):
 def test_dims_rational_resource_refusal_exit_2(runner, tmp_path, monkeypatch):
     # an over-limit rational block must refuse with exit 2, naming itself
     from gsc.quotient import clear_memory_cache
-    from gsc.sparse import RunLimits
 
     clear_memory_cache()
-    monkeypatch.setattr("gsc.quotient.DEFAULT_LIMITS", RunLimits(max_rational_cols=10))
+    monkeypatch.setattr("gsc.sparse.MAX_RATIONAL_COLUMNS", 10)
     res = runner.invoke(
         main,
         ["dims", "--d", "2", "--max-arity", "5", "--cache-dir", str(tmp_path / "rl")],

@@ -6,7 +6,6 @@ import pytest
 from gsc.errors import ResourceLimit
 from gsc.fields import FieldSpec
 from gsc.sparse import (
-    RunLimits,
     SparseMatrix,
     rank_sparse,
     read_matrix_text,
@@ -99,10 +98,11 @@ def test_rational_resource_guard():
     assert rank_sparse(mp) == 1
 
 
-def test_entry_budget_guard():
+def test_entry_budget_guard(monkeypatch):
     m = SparseMatrix.from_dense([[1, 2], [3, 4]], Q)
+    monkeypatch.setattr("gsc.sparse.MAX_ENTRIES", 3)
     with pytest.raises(ResourceLimit):
-        rank_sparse(m, RunLimits(max_entries=3))
+        rank_sparse(m)
 
 
 def test_text_format_round_trip_rational_and_prime():

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+import gsc.sparse
 import gsc.stretch
 from gsc.errors import ResourceLimit
 from gsc.fields import FieldSpec
@@ -59,11 +60,9 @@ def test_pipeline_matches_block_dimension_table(tmp_path):
 def test_checkpoint_and_resume(tmp_path, monkeypatch):
     block = StretchBlock(n=5, k=(5, 5), d=2)
     # a zero budget stops at the first phase boundary
-    rep1 = stretch_rank(
-        GFP, cache_dir=tmp_path, block=block, checkpoint_every=40, time_budget=0.0
-    )
+    rep1 = stretch_rank(GFP, cache_dir=tmp_path, block=block, time_budget=0.0)
     assert not rep1.finished
-    rep2 = stretch_rank(GFP, cache_dir=tmp_path, block=block, checkpoint_every=40)
+    rep2 = stretch_rank(GFP, cache_dir=tmp_path, block=block)
     assert rep2.finished
     # full-column-rank block: the quotient dimension here is 0
     assert rep2.dimension == 0 and rep2.n_columns == 252
@@ -88,9 +87,32 @@ def test_checkpoint_and_resume(tmp_path, monkeypatch):
         assert replace(again, seconds=0.0) == replace(want, seconds=0.0)
 
 
+def test_zero_budget_runs_finish_phase_by_phase(tmp_path):
+    # every call makes progress: the stream is never cut short, so no
+    # call resumes inside it, and each later call runs one peel sweep
+    block = StretchBlock(n=5, k=(4, 3, 3), d=3)
+    fresh = []
+    want = stretch_rank(GFP, cache_dir=tmp_path / "fresh", block=block, progress=fresh.append)
+    sweeps = sum(m.startswith("peel sweep") for m in fresh)
+    calls = []
+    while not calls or not calls[-1][0].finished:
+        assert len(calls) < sweeps + 2, [m for _, m in calls]
+        messages = []
+        rep = stretch_rank(
+            GFP, cache_dir=tmp_path / "budget", block=block, time_budget=0.0,
+            progress=messages.append,
+        )
+        calls.append((rep, messages))
+    first = calls[0][1]
+    assert not calls[0][0].finished and first[-1].startswith("stream done")
+    assert not any(m.startswith("peel sweep") for m in first)
+    assert all("resumed in phase stream" not in m for _, ms in calls for m in ms)
+    assert replace(calls[-1][0], seconds=0.0) == replace(want, seconds=0.0)
+
+
 def test_oversized_core_is_refused_after_the_peel_is_saved(tmp_path, monkeypatch):
     block = StretchBlock(n=4, k=(2, 2, 2), d=3)  # nothing peels: a 96-row core
-    monkeypatch.setattr(gsc.stretch, "MAX_BASIS_ENTRIES", 10)
+    monkeypatch.setattr(gsc.sparse, "MAX_ENTRIES", 10)
     with pytest.raises(ResourceLimit, match="core exceeds the memory budget"):
         stretch_rank(GFP, cache_dir=tmp_path, block=block)
     monkeypatch.undo()

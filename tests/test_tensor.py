@@ -204,30 +204,6 @@ def test_json_round_trip(x):
     assert element_from_json_text(element_to_json_text(x)) == x
 
 
-@st.composite
-def rect_elements(draw):
-    rows = draw(st.integers(0, 3))
-    cols = draw(st.integers(0, 3))
-    terms = {}
-    for _ in range(draw(st.integers(0, 3))):
-        m = RectMonomial(
-            rows, cols, tuple(draw(st.integers(1, 3)) for _ in range(rows * cols))
-        )
-        coeff = draw(st.integers(-9, 9).filter(bool))
-        terms[m] = coeff
-    from gsc.tensor import RectElement
-
-    return RectElement(rows, cols, terms)
-
-
-@given(rect_elements())
-@settings(max_examples=100, deadline=None)
-def test_rect_json_round_trip(x):
-    from gsc.tensor import rect_element_from_json, rect_element_to_json
-
-    assert rect_element_from_json(rect_element_to_json(x)) == x
-
-
 def test_monomial_json_schema_shape():
     m = TriMonomial.from_dict(3, {(1, 2): 1, (1, 3): 2, (2, 3): 1})
     doc = monomial_to_json(m)
