@@ -14,7 +14,7 @@ class ShapeMismatch(GscError):
 
 
 class DegreeMismatch(GscError):
-    """A multidegree does not sum to the number of entry positions."""
+    """A multidegree has the wrong number of letters or the wrong sum."""
 
 
 class CharacteristicUnsupported(GscError):

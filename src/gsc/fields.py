@@ -3,7 +3,12 @@
 Everything downstream of this module is exact; no floating point is used
 for any arithmetic that feeds a reported number.  Rational scalars are
 ``fractions.Fraction`` (ints are accepted anywhere a rational is), prime
-field scalars are plain ints in ``range(p)``.
+field scalars are plain ints in ``range(p)``.  The hot loops do not go
+through :class:`FieldSpec`'s methods: the sparse engine eliminates over
+Q on primitive integer rows and over GF(p) with ``% p`` inlined, and the
+stretch's union-find keeps int scales, so a ``Fraction`` appears only
+where a value is not an integer (a reduced echelon form, a scale that
+does not divide).
 """
 
 from __future__ import annotations
@@ -98,9 +103,6 @@ class FieldSpec:
 
     def mul(self, a, b):
         return (a * b) % self.p if self.p else a * b
-
-    def neg(self, a):
-        return -a % self.p if self.p else -a
 
     def inv(self, a):
         if self.p is None:

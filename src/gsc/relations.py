@@ -119,8 +119,10 @@ def _triangle_relations(size: int, k: MultiDegree, d: int) -> Iterator[TriangleR
                 )
 
 
-def _check_block(size: int, k: MultiDegree) -> None:
+def _check_block(size: int, k: MultiDegree, d: int) -> None:
     n_pos = n_triangle_entries(size)
+    if len(k) != d:
+        raise DegreeMismatch(f"multidegree {k} has {len(k)} letters, not d = {d}")
     if sum(k) != n_pos or any(x < 0 for x in k):
         raise DegreeMismatch(f"multidegree {k} does not sum to {n_pos}")
 
@@ -142,7 +144,7 @@ def iter_block_relations(
     they are built once per multiset.
     """
     _check_field(field)
-    _check_block(size, k)
+    _check_block(size, k, d)
     if size < 3:
         return
     k = tuple(k)
@@ -243,7 +245,7 @@ def write_block_matrix_text(
     """
     k = tuple(k)
     _check_field(field)
-    _check_block(n, k)
+    _check_block(n, k, d)
     n_cols = count_block_monomials(n, k)
     # opened before the rows are built, so a bad path fails fast
     with open(path, "w", newline="") as out:
@@ -255,7 +257,7 @@ def write_block_matrix_text(
 
 def block_row_count(size: int, k: MultiDegree, d: int) -> int:
     """Number of raw (pre-dedup) relations in a block, by counting fills."""
-    _check_block(size, k)
+    _check_block(size, k, d)
     if size < 3:
         return 0
     import math

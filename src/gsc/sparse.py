@@ -4,7 +4,10 @@ One engine lives here: pure-Python sparse elimination with a
 Markowitz-style least-fill pivot chosen within the leftmost eligible
 column.  Relation blocks have at most 6 nonzeros per row, so fill-in
 dominates cost and least-fill pivoting keeps it small.  Elimination is
-exact over every field and deterministic.
+exact over every field and deterministic.  Over Q it is fraction-free
+(Bareiss): rows are primitive integer rows, a unit pivot costs one int
+subtraction per entry, and ``Fraction`` appears only in a reduced
+echelon form, whose entries are scaled to pivot 1.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import heapq
 import io
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, TextIO
 
 from .errors import ResourceLimit, ShapeMismatch
@@ -158,17 +162,50 @@ def _check_limits(m: SparseMatrix) -> None:
         raise ResourceLimit(f"{m.n_entries} stored entries exceed budget {MAX_ENTRIES}")
 
 
+def _primitive_row(row) -> dict[int, int]:
+    """A row over Q as a primitive integer row spanning the same line.
+
+    It is scaled by the lcm of its denominators and divided by the gcd
+    of the numerators that result; a row of unit entries is unchanged.
+    """
+    den = 1
+    for _, v in row:
+        if v.denominator != 1:
+            den = lcm(den, v.denominator)
+    if den == 1:
+        ints = {c: v.numerator for c, v in row}
+    else:
+        ints = {c: v.numerator * (den // v.denominator) for c, v in row}
+    g = gcd(*ints.values())
+    return {c: x // g for c, x in ints.items()} if g > 1 else ints
+
+
 def _sparse_eliminate(
     m: SparseMatrix, want_reduced: bool
 ) -> tuple[list[int], list[dict[int, object]]]:
     """Forward elimination; returns (pivot_cols, pivot_rows as dicts).
 
     Pivot choice: leftmost nonempty column, then the row of least fill
-    (fewest nonzeros), ties broken by insertion order.  If
-    ``want_reduced`` the pivot rows are fully back-substituted to RREF.
+    (fewest nonzeros), ties broken by insertion order.
+
+    Over Q every row is a primitive integer row and elimination is
+    fraction-free: against pivot value ``v``, a row with entry ``a``
+    becomes ``(v/g)*row - (a/g)*prow`` for ``g = gcd(a, v)``, a plain
+    subtraction when ``v`` divides ``a`` (every unit pivot), and a row
+    that was scaled is divided by its content.  Each row stays a nonzero
+    multiple of its rational counterpart, so the fill, the pivots and the
+    rank are those of rational elimination.  Over GF(p) the pivot row is
+    scaled to pivot 1 and the same loop reduces mod p.
+
+    If ``want_reduced`` the pivot rows are scaled to pivot 1 (``Fraction``
+    entries over Q) and fully back-substituted to RREF.
     """
     f = m.field
-    rows: list[dict[int, object] | None] = [dict(r) for r in m.rows]
+    p = f.p
+    if p is None:
+        rows: list[dict[int, int] | None] = [_primitive_row(r) for r in m.rows]
+    else:
+        rows = [dict(r) for r in m.rows]
     col_rows: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for c in row:
@@ -189,33 +226,49 @@ def _sparse_eliminate(
         rows[pid] = None
         for cc in prow:
             col_rows[cc].discard(pid)
-        inv = f.inv(prow[c])
-        if inv != f.one():
-            prow = {cc: f.mul(inv, vv) for cc, vv in prow.items()}
-        others = list(col_rows.get(c, ()))
-        for i in others:
+        v = prow[c]
+        if p and v != 1:
+            inv = pow(v, p - 2, p)
+            prow = {cc: inv * vv % p for cc, vv in prow.items()}
+            v = 1
+        pitems = prow.items()
+        for i in list(live):
             row = rows[i]
-            coeff = row[c]
-            for cc, vv in prow.items():
+            a = row[c]
+            t, r = divmod(a, v)
+            if r:  # over Q, v does not divide a: scale the row first
+                g = gcd(a, v)
+                s, t = abs(v) // g, (a if v > 0 else -a) // g
+                for cc in row:
+                    row[cc] *= s
+            for cc, vv in pitems:
                 cur = row.get(cc)
                 if cur is None:
-                    nv = f.neg(f.mul(coeff, vv))
-                    if nv:
-                        row[cc] = nv
-                        col_rows.setdefault(cc, set()).add(i)
-                        if len(col_rows[cc]) == 1:
-                            heapq.heappush(heap, cc)
+                    row[cc] = -t * vv % p if p else -t * vv
+                    col_rows.setdefault(cc, set()).add(i)
+                    if len(col_rows[cc]) == 1:
+                        heapq.heappush(heap, cc)
                 else:
-                    nv = f.sub(cur, f.mul(coeff, vv))
+                    nv = (cur - t * vv) % p if p else cur - t * vv
                     if nv:
                         row[cc] = nv
                     else:
                         del row[cc]
                         col_rows[cc].discard(i)
+            if r:
+                g = gcd(*row.values())
+                if g > 1:
+                    for cc in row:
+                        row[cc] //= g
         pivot_cols.append(c)
         pivot_rows.append(prow)
 
     if want_reduced:
+        if p is None:
+            pivot_rows = [
+                {cc: Fraction(x, row[c]) for cc, x in row.items()}
+                for c, row in zip(pivot_cols, pivot_rows)
+            ]
         # Back-substitute: pivots were produced in increasing column order.
         pivot_of = {c: i for i, c in enumerate(pivot_cols)}
         for i in range(len(pivot_rows) - 1, -1, -1):

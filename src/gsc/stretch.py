@@ -49,8 +49,6 @@ from .relations import iter_block_relations
 from .tensor import count_block_monomials
 from .tensor import rank_in_block  # noqa: F401  unused here; perfbench/spans.py wraps this name
 
-_ONE_Q = Fraction(1)
-
 STRETCH_N = 6
 STRETCH_K = (5, 5, 5)
 STRETCH_D = 3
@@ -73,8 +71,10 @@ CONJECTURE_BLOCK = StretchBlock()
 # Bumped whenever the saved state or the rows it is built from change.
 # Schema 1 files (no version, a generating-set number in the name) are
 # never resumed; schema 2 files copy the union-find's fields and hold a
-# core basis of their own; schema 3 files may be saved inside the stream.
-CHECKPOINT_SCHEMA = 4
+# core basis of their own; schema 3 files may be saved inside the stream;
+# schema 4 files hold Fraction scales and stash entries over Q, where
+# schema 5 files hold ints wherever the value is an integer.
+CHECKPOINT_SCHEMA = 5
 
 
 def stretch_column_count() -> int:
@@ -86,7 +86,10 @@ class _SignedUnionFind:
 
     ``scale[c]`` is relative to ``parent[c]``; path compression rewrites
     it to be relative to the root.  ``p`` of None runs the same structure
-    over the rationals (Fraction scales, exact).
+    over the rationals, exactly: a scale is an int when the division that
+    makes it is exact and a ``Fraction`` only when it is not.  On every
+    block the tests run all scales are +-1, so the stash and the core
+    hold ints and the core goes straight into the integer engine.
     """
 
     __slots__ = ("p", "parent", "scale", "dead", "merges", "deaths")
@@ -94,7 +97,7 @@ class _SignedUnionFind:
     def __init__(self, p: int | None, n: int):
         self.p = p
         self.parent = list(range(n))
-        self.scale = [_ONE_Q if p is None else 1] * n
+        self.scale = [1] * n
         self.dead = bytearray(n)
         self.merges = 0
         self.deaths = 0
@@ -110,7 +113,7 @@ class _SignedUnionFind:
         # compress from the shallow end: after the loop every path node
         # points at the root with its cumulative multiplier
         p_mod = self.p
-        cum = _ONE_Q if p_mod is None else 1
+        cum = 1
         for node in reversed(path):
             cum = scale[node] * cum if p_mod is None else scale[node] * cum % p_mod
             parent[node] = root
@@ -128,7 +131,8 @@ class _SignedUnionFind:
         # attach r1 under r2: x1 = (-v2/v1) x2
         self.parent[r1] = r2
         if p is None:
-            self.scale[r1] = Fraction(-v2, 1) / v1
+            q, r = divmod(-v2, v1)
+            self.scale[r1] = Fraction(-v2, v1) if r else q
         else:
             self.scale[r1] = -v2 * pow(v1, p - 2, p) % p
         self.merges += 1

@@ -190,6 +190,22 @@ def test_export_bad_multidegree_usage(runner, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "n, k, d",
+    [
+        ("3", "2,1,0", "2"),  # a letter that V does not have
+        ("4", "3,3", "0"),  # no letters at all
+        ("4", "6", "2"),  # fewer letters than V has
+    ],
+)
+def test_export_refuses_multidegree_of_wrong_length(runner, tmp_path, n, k, d):
+    out = tmp_path / "x.mtx"
+    res = invoke(runner, ["export", "--n", n, "--k", k, "--d", d, "-o", str(out)])
+    assert res.exit_code == 2
+    assert "cannot assemble block:" in res.output and "letters" in res.output
+    assert not out.exists()
+
+
 def test_verify_paper_help_smoke(runner):
     res = invoke(runner, ["verify-paper", "--help"])
     assert res.exit_code == 0

@@ -7,6 +7,7 @@ from gsc.errors import ResourceLimit
 from gsc.fields import FieldSpec
 from gsc.sparse import (
     SparseMatrix,
+    _sparse_eliminate,
     rank_sparse,
     read_matrix_text,
     rref_sparse,
@@ -78,6 +79,64 @@ def test_rank_rref_agree_and_gfp_bounded_by_rational():
         assert rref_sparse(mq).rank == rq
         assert rank_sparse(mp) <= rq
         assert rref_sparse(mp).rank == rank_sparse(mp)
+
+
+def reference_rref(dense):
+    """Dense Gauss-Jordan over Q: the RREF rows, sparse, in pivot order."""
+    rows = [[Fraction(x) for x in r] for r in dense]
+    done = []
+    for c in range(len(dense[0]) if dense else 0):
+        pivot = next((r for r in rows if r[c]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        pivot = [x / pivot[c] for x in pivot]
+        rows = [[x - r[c] * y for x, y in zip(r, pivot)] for r in rows]
+        done = [[x - r[c] * y for x, y in zip(r, pivot)] for r in done]
+        done.append(pivot)
+    return tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in done)
+
+
+def random_rational_dense(rng, rows, cols):
+    """Entries in -20..20 with some Fraction(a, b), b <= 4; some rows dependent."""
+
+    def entry():
+        if rng.random() < rng.choice((0.3, 0.7)):
+            return 0
+        if rng.random() < 0.25:
+            return Fraction(rng.randint(-20, 20), rng.randint(1, 4))
+        return rng.randint(-20, 20)
+
+    dense = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if rows > 2 and rng.random() < 0.5:
+        a, b = rng.sample(dense, 2)
+        s, t = rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        dense[rng.randrange(rows)] = [s * x + t * y for x, y in zip(a, b)]
+    return dense
+
+
+def test_rational_elimination_matches_dense_reference():
+    rng = random.Random(20)
+    for _ in range(600):
+        dense = random_rational_dense(rng, rng.randint(1, 8), rng.randint(1, 8))
+        m = SparseMatrix.from_dense(dense, Q)
+        want = reference_rref(dense)
+        assert rank_sparse(m) == len(want), dense
+        assert rref_sparse(m).reduced_rows == want, dense
+        # the forward pass runs on integers only
+        _, pivot_rows = _sparse_eliminate(m, want_reduced=False)
+        assert all(type(x) is int for row in pivot_rows for x in row.values()), dense
+
+
+def test_rational_forward_rows_are_fraction_free_and_scaled_rows_primitive():
+    # pivot 2 does not divide 1: row 1 becomes 2*row1 - row0 = (0, 3, 3),
+    # whose content 3 is divided out
+    m = SparseMatrix.from_dense([[2, 1, 1], [1, 2, 2]], Q)
+    assert _sparse_eliminate(m, want_reduced=False) == ([0, 1], [{0: 2, 1: 1, 2: 1}, {1: 1, 2: 1}])
+    # a row with denominators enters as a primitive integer row; a pivot
+    # that divides the entry is a plain subtraction: (4, 5) - 2*(2, -3)
+    m = SparseMatrix.from_dense([[Fraction(1, 2), Fraction(-3, 4)], [4, 5]], Q)
+    assert _sparse_eliminate(m, want_reduced=False) == ([0, 1], [{0: 2, 1: -3}, {1: 11}])
 
 
 def test_rref_reduce_vector_normal_form():

@@ -1,5 +1,6 @@
 import pickle
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -133,6 +134,29 @@ def test_union_find_scales():
     assert uf.reduce_row((0, 2)) == [(2, 7)]
     uf.kill(2)
     assert uf.reduce_row((0, 1, 2)) == []
+
+
+def test_rational_union_find_keeps_int_scales_unless_division_is_inexact(tmp_path):
+    uf = _SignedUnionFind(None, 3)
+    # 2 x0 + 3 x1 = 0  =>  x0 = -3/2 x1, the one scale that is not an int
+    uf.merge(0, 2, 1, 3)
+    assert uf.scale[0] == Fraction(-3, 2) and type(uf.scale[0]) is Fraction
+    # x1 - 5 x2 = 0  =>  x1 = 5 x2, a unit merge
+    uf.merge(1, 1, 2, -5)
+    assert uf.scale[1] == 5 and type(uf.scale[1]) is int
+    assert uf.find(0) == (2, Fraction(-15, 2))
+    assert uf.scale[0] == Fraction(-15, 2)
+    assert uf.reduce_row((0, 1, 2)) == [(2, Fraction(-3, 2))]
+
+    # on a published block every division is exact: every saved scale and
+    # stash entry must be an int, so the core runs on ints
+    block = StretchBlock(n=5, k=(4, 3, 3), d=3)
+    rep = stretch_rank(FieldSpec.rational(), cache_dir=tmp_path, block=block)
+    assert rep.finished and rep.core_rows == 2060
+    state = pickle.loads(_checkpoint_path(tmp_path, block, None).read_bytes())
+    assert state.uf.merges > 0 and state.stash
+    assert all(type(x) is int for x in state.uf.scale)
+    assert all(type(v) is int for row in state.stash for _, v in row)
 
 
 def test_rational_run_is_exact_and_matches(tmp_path):
