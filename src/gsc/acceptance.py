@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from importlib import resources
 from itertools import permutations
 
@@ -35,7 +35,7 @@ from .dets2 import (
     induced_map_scalar,
 )
 from .errors import BadPosition
-from .fields import FieldSpec, multi_prime_fields
+from .fields import MULTI_PRIME_SET, FieldSpec
 from .quotient import (
     QuotientConfig,
     block_dimension,
@@ -63,6 +63,9 @@ ALTERNATING_SAMPLES = 200
 VANISHING_SAMPLES = 100
 FUNCTORIALITY_SAMPLES = 50
 
+# Every published value is checked over Q itself.
+Q = FieldSpec.rational()
+
 
 def reference_values() -> dict:
     with resources.files("gsc.data").joinpath("reference_values.json").open() as fh:
@@ -88,7 +91,6 @@ class ClaimResult:
 
 @dataclass
 class AcceptanceContext:
-    table_field: FieldSpec = dc_field(default_factory=FieldSpec.rational)
     cache_dir: object = None
     trials: int = 500
     seed: int = 20240
@@ -111,49 +113,25 @@ def _claim(criterion, claim, expected, computed, t0) -> ClaimResult:
 
 
 def criterion_1(ctx: AcceptanceContext) -> list[ClaimResult]:
-    """dim-2 totals over the table field, arities 1..6."""
+    """dim-2 totals over Q, arities 1..6."""
     ref = reference_values()["totals"]["2"]
     t0 = time.monotonic()
     dims = [
-        total_dimension(m, 2, ctx.table_field, ctx.config()).total
+        total_dimension(m, 2, Q, ctx.config()).total
         for m in ref["arities"]
     ]
     return [_claim(1, "dim V=2 totals m=1..6", ref["dims"], dims, t0)]
 
 
 def criterion_2(ctx: AcceptanceContext) -> list[ClaimResult]:
-    """dim-3 per-block table; three distinct primes must agree at n=5.
-
-    The n=5 blocks cross-check the one elimination engine over three
-    fields; criterion 3 eliminates the same blocks over the table field.
-    """
+    """dim-3 per-block table over Q, the n=5 blocks included."""
     out = []
     cfg = ctx.config()
     for entry in reference_values()["blocks"]["3"]:
         n, k, expected = entry["n"], tuple(entry["k"]), entry["dim"]
         t0 = time.monotonic()
-        if n <= 4:
-            got = block_dimension(n, k, 3, ctx.table_field, config=cfg).dimension
-            out.append(
-                _claim(2, f"E_{n}^{k} over {ctx.table_field}", expected, got, t0)
-            )
-        else:
-            fields = multi_prime_fields(preferred=ctx.table_field)
-            got = [
-                block_dimension(n, k, 3, f, config=cfg).dimension
-                for f in fields
-            ]
-            agree = got[0] if len(set(got)) == 1 else f"disagree {got}"
-            out.append(
-                _claim(
-                    2,
-                    f"E_{n}^{k} over three primes "
-                    f"({', '.join(str(f.p) for f in fields)})",
-                    expected,
-                    agree,
-                    t0,
-                )
-            )
+        got = block_dimension(n, k, 3, Q, config=cfg).dimension
+        out.append(_claim(2, f"E_{n}^{k} over Q", expected, got, t0))
     return out
 
 
@@ -200,7 +178,7 @@ def criterion_3(ctx: AcceptanceContext) -> list[ClaimResult]:
         total = 0
         nonzero = []
         for ktype in _sorted_types(n_triangle_entries(n), 3):
-            dim = block_dimension(n, ktype, 3, ctx.table_field, config=cfg).dimension
+            dim = block_dimension(n, ktype, 3, Q, config=cfg).dimension
             part = dim * _n_permutations(ktype)
             total += part
             if part:
@@ -218,32 +196,28 @@ def criterion_3(ctx: AcceptanceContext) -> list[ClaimResult]:
     # permutation invariance spot checks
     t0 = time.monotonic()
     perms_equal = all(
-        block_dimension(4, p, 3, ctx.table_field, config=cfg).dimension == 9
+        block_dimension(4, p, 3, Q, config=cfg).dimension == 9
         for p in sorted(set(permutations((3, 2, 1))))
     )
     out.append(_claim(3, "E_4 invariant under permutations of (3,2,1)", True, perms_equal, t0))
     t0 = time.monotonic()
     same = (
-        block_dimension(5, (2, 4, 4), 3, ctx.table_field, config=cfg).dimension
-        == block_dimension(5, (4, 4, 2), 3, ctx.table_field, config=cfg).dimension
+        block_dimension(5, (2, 4, 4), 3, Q, config=cfg).dimension
+        == block_dimension(5, (4, 4, 2), 3, Q, config=cfg).dimension
     )
     out.append(_claim(3, "E_5^(2,4,4) = E_5^(4,4,2)", True, same, t0))
     return out
 
 
 def criterion_4(ctx: AcceptanceContext) -> list[ClaimResult]:
-    """Vanishing beyond the bound, verified by elimination (no shortcut).
-
-    Zero dimension over a prime field certifies the rational zero, since
-    rank can only drop modulo p.
-    """
+    """Vanishing beyond the bound, verified by elimination over Q (no
+    shortcut)."""
     cfg = ctx.config(no_shortcut=True)
-    field = multi_prime_fields(ctx.table_field)[0]
     out = []
     for d, arities in ((2, (6, 7)), (1, (4, 5))):
         for m in arities:
             t0 = time.monotonic()
-            res = total_dimension(m, d, field, cfg)
+            res = total_dimension(m, d, Q, cfg)
             worst = max((b.dimension for b in res.blocks), default=0)
             out.append(
                 _claim(
@@ -379,7 +353,6 @@ def criterion_7(ctx: AcceptanceContext) -> list[ClaimResult]:
 def criterion_8(ctx: AcceptanceContext) -> list[ClaimResult]:
     """The saturation oracle agrees with the relation model per block."""
     out = []
-    rational = FieldSpec.rational()
     cfg = ctx.config(no_shortcut=True)
     for d, max_arity in ((1, 4), (2, 5)):
         t0 = time.monotonic()
@@ -388,14 +361,14 @@ def criterion_8(ctx: AcceptanceContext) -> list[ClaimResult]:
         for arity_report in report.arities:
             n = arity_report.arity - 1
             for k, oracle_rank in arity_report.block_ranks:
-                model_rank = block_dimension(n, k, d, rational, config=cfg).rank
+                model_rank = block_dimension(n, k, d, Q, config=cfg).rank
                 if model_rank != oracle_rank:
                     mismatches.append((arity_report.arity, k, oracle_rank, model_rank))
             # blocks the oracle never saw must carry no relations
             seen = {k for k, _ in arity_report.block_ranks}
             for k in multidegrees(n_triangle_entries(n), d):
                 if k not in seen:
-                    model_rank = block_dimension(n, k, d, rational, config=cfg).rank
+                    model_rank = block_dimension(n, k, d, Q, config=cfg).rank
                     if model_rank != 0:
                         mismatches.append((arity_report.arity, k, 0, model_rank))
         out.append(
@@ -409,7 +382,7 @@ def criterion_8(ctx: AcceptanceContext) -> list[ClaimResult]:
         )
     t0 = time.monotonic()
     oracle_dim = saturation_oracle(2, 5).arity(5).quotient_dim
-    model_dim = total_dimension(5, 2, rational, ctx.config()).total
+    model_dim = total_dimension(5, 2, Q, ctx.config()).total
     out.append(
         _claim(8, "arity-5 quotient dimension (dim V=2) by both routes", "(1, 1)", (oracle_dim, model_dim), t0)
     )
@@ -460,7 +433,7 @@ def criterion_9(ctx: AcceptanceContext) -> list[ClaimResult]:
     generators, so equal arity-4 spans give equal ideals in every arity.
     """
     out = []
-    for field in (FieldSpec.rational(), FieldSpec.prime(5)):
+    for field in (Q, FieldSpec.prime(5)):
         t0 = time.monotonic()
         bad = [
             (name, d, *mismatch)
@@ -483,22 +456,17 @@ def criterion_9(ctx: AcceptanceContext) -> list[ClaimResult]:
 
 def criterion_10(ctx: AcceptanceContext) -> list[ClaimResult]:
     out = []
-    cases = (
-        (4, 2, FieldSpec.rational()),
-        (5, 2, FieldSpec.rational()),
-        (5, 3, multi_prime_fields(ctx.table_field)[0]),
-    )
-    for n, d, field in cases:
+    for n, d in ((4, 2), (5, 2), (5, 3)):
         t0 = time.monotonic()
         rep = repeated_letter_vanishing_check(
             n, d, VANISHING_SAMPLES, ctx.seed + n + d,
-            field=field, config=ctx.config(no_shortcut=True),
+            field=Q, config=ctx.config(no_shortcut=True),
         )
         out.append(
             _claim(
                 10,
                 f"{VANISHING_SAMPLES} repeated-letter monomials vanish "
-                f"(size {n}, dim V={d}, {field})",
+                f"(size {n}, dim V={d}, Q)",
                 0,
                 len(rep.failures),
                 t0,
@@ -519,7 +487,7 @@ def criterion_11(ctx: AcceptanceContext) -> list[ClaimResult]:
     )
     if not ctx.include_stretch:
         return out
-    for f in [FieldSpec.rational(), *multi_prime_fields(ctx.table_field)]:
+    for f in [Q, *map(FieldSpec.prime, MULTI_PRIME_SET)]:
         t0 = time.monotonic()
         rep = stretch_rank(
             f, cache_dir=ctx.cache_dir, progress=None, time_budget=ctx.stretch_budget

@@ -89,8 +89,8 @@ class QuotientConfig:
     """Shared read-only configuration for block computations.
 
     Every block is eliminated over the requested field; blocks too wide
-    for that field (``sparse.check_columns``) are refused before they
-    are assembled.
+    to eliminate (``sparse.check_columns``) are refused before they are
+    assembled.
     """
 
     cache_dir: object = None
@@ -172,7 +172,7 @@ def block_dimension(
     else:
         t0 = time.monotonic()
         try:
-            check_columns(n_monomials, field)
+            check_columns(n_monomials)
             block = assemble_relation_block(n, k, d, field)
             rank = rank_sparse(block.matrix)
         except ResourceLimit as exc:

@@ -22,12 +22,10 @@ from typing import Iterable, Iterator, TextIO
 from .errors import ResourceLimit, ShapeMismatch
 from .fields import FieldSpec
 
-# Rational elimination on wider matrices is refused; callers use a prime
-# field instead, whose dimension upper-bounds the rational one.
-MAX_RATIONAL_COLUMNS = 10_000
-# Prime-field matrices wider than this are refused; the streaming
+# Matrices wider than this are refused over every field (elimination
+# over Q is fraction-free and costs what GF(p) does); the streaming
 # stretch path is the way to attack such blocks.
-MAX_PRIME_COLUMNS = 50_000
+MAX_COLUMNS = 50_000
 # Memory budget of the dict-row engine, which stores roughly 100 bytes
 # per nonzero: a matrix (or a stretch core) with more entries is refused
 # before elimination, since fill-in only adds to it.
@@ -142,22 +140,17 @@ class EchelonForm:
         return {c: v for c, v in out.items() if v}
 
 
-def check_columns(n_cols: int, field: FieldSpec) -> None:
-    """Refuse elimination on ``n_cols`` columns over ``field`` if too wide."""
-    if field.is_rational and n_cols > MAX_RATIONAL_COLUMNS:
+def check_columns(n_cols: int) -> None:
+    """Refuse elimination on ``n_cols`` columns if too wide."""
+    if n_cols > MAX_COLUMNS:
         raise ResourceLimit(
-            f"rational elimination refused on {n_cols} columns "
-            f"(limit {MAX_RATIONAL_COLUMNS}); use prime fields"
-        )
-    if not field.is_rational and n_cols > MAX_PRIME_COLUMNS:
-        raise ResourceLimit(
-            f"prime-field elimination refused on {n_cols} columns "
-            f"(limit {MAX_PRIME_COLUMNS}); use the streaming stretch path"
+            f"elimination refused on {n_cols} columns "
+            f"(limit {MAX_COLUMNS}); use the streaming stretch path"
         )
 
 
 def _check_limits(m: SparseMatrix) -> None:
-    check_columns(m.n_cols, m.field)
+    check_columns(m.n_cols)
     if m.n_entries > MAX_ENTRIES:
         raise ResourceLimit(f"{m.n_entries} stored entries exceed budget {MAX_ENTRIES}")
 

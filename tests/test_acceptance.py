@@ -10,8 +10,8 @@ import time
 import pytest
 
 from gsc import acceptance
-from gsc.acceptance import CRITERIA, AcceptanceContext, run_criteria
-from gsc.fields import FieldSpec
+from gsc.acceptance import CRITERIA, AcceptanceContext
+from gsc.fields import MULTI_PRIME_SET
 from gsc.relations import block_rows
 from gsc.saturation import GENERATOR_FAMILIES, _seed_elements, six_term_elements
 from gsc.tensor import TriElement
@@ -140,7 +140,7 @@ def test_criterion_11_runs_rational_field_first(tmp_path, monkeypatch):
     runs = results[1:]
     assert [r.claim.split(";")[0] for r in runs] == [
         "conjecture block over Q",
-        *(f"conjecture block over {f}" for f in acceptance.multi_prime_fields()),
+        *(f"conjecture block over GF({p})" for p in MULTI_PRIME_SET),
     ]
     assert "exact over Q" in runs[0].claim
     assert all("upper bound on the rational dimension" in r.claim for r in runs[1:])
@@ -159,12 +159,3 @@ def test_criterion_11_stretch_full(ctx):
     results = CRITERIA[11](stretch_ctx)
     for res in results:
         print(res.line())
-
-
-def test_verify_paper_aggregate_field_override(tmp_path):
-    """Spot-check the prime:5 table override on the cheap criteria."""
-    ctx5 = AcceptanceContext(
-        table_field=FieldSpec.prime(5), cache_dir=tmp_path / "c5"
-    )
-    results = run_criteria(ctx5, numbers=[1])
-    assert all(r.passed for r in results)

@@ -37,7 +37,33 @@ def test_dims_csv_format_and_columns(runner, tmp_path):
     )
     assert res.exit_code == 0
     header = res.output.splitlines()[0]
-    assert header == "d,arity,multidegree,monomials,rows,rank,dimension,field,millis"
+    assert header == "d,arity,multidegree,monomials,rows,rank,dimension,field"
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_dims_per_block_cold_runs_byte_identical(runner, tmp_path, monkeypatch, fmt):
+    # timings go to JSON only: two cold runs whose blocks take different
+    # times print the same bytes
+    from itertools import count
+    from types import SimpleNamespace
+
+    import gsc.quotient as quotient
+
+    outputs = []
+    for step in (1, 2):
+        clock = count(0, step)
+        monkeypatch.setattr(quotient, "time", SimpleNamespace(monotonic=lambda: next(clock)))
+        quotient.clear_memory_cache()
+        res = invoke(
+            runner,
+            ["dims", "--d", "2", "--max-arity", "5", "--per-block", "--format", fmt,
+             "--cache-dir", str(tmp_path / str(step))],
+        )
+        assert res.exit_code == 0
+        outputs.append(res.output)
+    quotient.clear_memory_cache()
+    assert "3,3" in outputs[0]  # the per-block lines are there
+    assert outputs[0] == outputs[1]
 
 
 def test_dims_warm_rerun_byte_identical(runner, tmp_path):
@@ -70,12 +96,17 @@ def test_dims_usage_errors(runner):
     assert invoke(runner, ["dims", "--d", "2", "--variant", "3"]).exit_code == 2
 
 
+def test_verify_paper_has_no_field_option(runner):
+    # verify-paper is exact over Q, so a field is a usage error
+    assert invoke(runner, ["verify-paper", "--field", "prime:5"]).exit_code == 2
+
+
 def test_dims_rational_resource_refusal_exit_2(runner, tmp_path, monkeypatch):
     # an over-limit rational block must refuse with exit 2, naming itself
     from gsc.quotient import clear_memory_cache
 
     clear_memory_cache()
-    monkeypatch.setattr("gsc.sparse.MAX_RATIONAL_COLUMNS", 10)
+    monkeypatch.setattr("gsc.sparse.MAX_COLUMNS", 10)
     res = runner.invoke(
         main,
         ["dims", "--d", "2", "--max-arity", "5", "--cache-dir", str(tmp_path / "rl")],

@@ -206,10 +206,18 @@ def test_rational_wide_block_is_exact(tmp_path):
     assert rep.rank == rep.n_monomials - 16
 
 
+def test_d4_arity6_block_is_exact_over_q(cfg):
+    """A d=4 arity-6 block of 12,600 columns is eliminated over Q itself."""
+    rep = block_dimension(5, (4, 3, 2, 1), 4, Q, config=cfg)
+    assert rep.n_monomials == 12_600
+    assert rep.dimension == 96
+
+
 def test_published_blocks_agree_across_fields(cfg):
-    """Rational and three-prime dimensions coincide on every table block;
-    in general the prime dimension can only grow."""
-    from gsc.fields import multi_prime_fields
+    """Rational and three-prime dimensions coincide on every table block,
+    the widest n=5 ones included; in general the prime dimension can
+    only grow."""
+    from gsc.fields import MULTI_PRIME_SET
 
     table = [
         (2, (1, 0, 0), 3, 1),
@@ -220,11 +228,13 @@ def test_published_blocks_agree_across_fields(cfg):
         (4, (2, 2, 2), 3, 22),
         (4, (3, 3), 2, 1),
         (3, (2, 1), 2, 2),
+        (5, (4, 4, 2), 3, 6),
+        (5, (4, 3, 3), 3, 16),
     ]
     for n, k, d, expected in table:
         dim_q = block_dimension(n, k, d, Q, config=cfg).dimension
         assert dim_q == expected
-        for f in multi_prime_fields():
+        for f in map(FieldSpec.prime, MULTI_PRIME_SET):
             dim_p = block_dimension(n, k, d, f, config=cfg).dimension
             assert dim_p == dim_q
             assert dim_p >= dim_q  # the rank inequality, degenerate here

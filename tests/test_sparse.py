@@ -148,15 +148,6 @@ def test_rref_reduce_vector_normal_form():
     assert set(residual) <= set(ech.non_pivot_cols())
 
 
-def test_rational_resource_guard():
-    m = SparseMatrix.from_entries(1, 10_001, Q, [(0, 0, 1)])
-    with pytest.raises(ResourceLimit):
-        rank_sparse(m)
-    # explicit prime-field evidence is the sanctioned route
-    mp = SparseMatrix.from_entries(1, 10_001, FieldSpec.prime(97), [(0, 0, 1)])
-    assert rank_sparse(mp) == 1
-
-
 def test_entry_budget_guard(monkeypatch):
     m = SparseMatrix.from_dense([[1, 2], [3, 4]], Q)
     monkeypatch.setattr("gsc.sparse.MAX_ENTRIES", 3)
@@ -203,15 +194,13 @@ def test_concurrent_rank_on_distinct_matrices():
     assert got == expected
 
 
-def test_prime_field_refuses_wide_matrix():
-    from gsc.sparse import MAX_PRIME_COLUMNS
+@pytest.mark.parametrize("field", [Q, FieldSpec.prime(97)], ids=str)
+def test_prime_field_refuses_wide_matrix(field):
+    # one column limit for every field
+    from gsc.sparse import MAX_COLUMNS
 
-    at_limit = SparseMatrix.from_entries(
-        1, MAX_PRIME_COLUMNS, FieldSpec.prime(97), [(0, 0, 1)]
-    )
+    at_limit = SparseMatrix.from_entries(1, MAX_COLUMNS, field, [(0, 0, 1)])
     assert rank_sparse(at_limit) == 1
-    m = SparseMatrix.from_entries(
-        1, MAX_PRIME_COLUMNS + 1, FieldSpec.prime(97), [(0, 0, 1)]
-    )
+    m = SparseMatrix.from_entries(1, MAX_COLUMNS + 1, field, [(0, 0, 1)])
     with pytest.raises(ResourceLimit, match="streaming stretch path"):
         rank_sparse(m)
