@@ -301,7 +301,6 @@ MUTATED_EXTERIOR_MODEL = OperadModel(
     compose=_mutated_exterior,
     unit=SignedWordElement.unit,
     sample=random_signed_element,
-    arity_of=lambda x: x.arity,
 )
 
 

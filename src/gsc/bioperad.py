@@ -104,7 +104,6 @@ def _row_operad_model(cols: int, max_arity: int = 4) -> OperadModel:
         compose=row_compose,
         unit=lambda: RectElement.unit(0, cols),
         sample=lambda rng, arity: random_rect_element(rng, arity - 1, cols),
-        arity_of=lambda a: a.rows + 1,
         max_arity=max_arity,
     )
 
@@ -116,7 +115,6 @@ def _col_operad_model(rows: int, max_arity: int = 4) -> OperadModel:
         compose=col_compose,
         unit=lambda: RectElement.unit(rows, 0),
         sample=lambda rng, arity: random_rect_element(rng, rows, arity - 1),
-        arity_of=lambda a: a.cols + 1,
         max_arity=max_arity,
     )
 
@@ -126,7 +124,6 @@ def check_bioperad_laws(
     seed: int,
     d: int = 3,
     row_compose_fn=row_compose,
-    col_compose_fn=col_compose,
     transpose_fn=transpose,
 ) -> LawReport:
     """Exact randomized check of all bioperad law families.
@@ -134,7 +131,7 @@ def check_bioperad_laws(
     Per trial: one operad-axiom round for a random fixed column count and
     a random fixed row count, the interchange law on random compatible
     shapes with gradings m, n, p, q <= 4, the transpose involution, and
-    the transpose exchange law.  The compose/transpose maps are
+    the transpose exchange law.  The row compose and transpose maps are
     injectable so tests can verify the checker catches mutations.
     """
     if trials < 1:
@@ -160,8 +157,8 @@ def check_bioperad_laws(
         j = rng.randint(1, n)
 
         # (A o_i C) .bullet_j (B o_i D) == (A .bullet_j B) o_i (C .bullet_j D)
-        lhs = col_compose_fn(row_compose_fn(a, i, c), j, row_compose_fn(b, i, dd))
-        rhs = row_compose_fn(col_compose_fn(a, j, b), i, col_compose_fn(c, j, dd))
+        lhs = col_compose(row_compose_fn(a, i, c), j, row_compose_fn(b, i, dd))
+        rhs = row_compose_fn(col_compose(a, j, b), i, col_compose(c, j, dd))
         rep.checked += 1
         if lhs != rhs:
             rep.failures.append(
@@ -172,7 +169,7 @@ def check_bioperad_laws(
         rep.checked += 2
         if transpose_fn(transpose_fn(a)) != a:
             rep.failures.append(LawFailure("transpose-involution", "", (m, n)))
-        if transpose_fn(row_compose_fn(a, i, c)) != col_compose_fn(
+        if transpose_fn(row_compose_fn(a, i, c)) != col_compose(
             transpose_fn(a), i, transpose_fn(c)
         ):
             rep.failures.append(

@@ -4,7 +4,7 @@ Layout: one directory per (schema-version, d, n, k, field) key under
 the cache root (argument > GSC_CACHE_DIR > ./.gsc-cache), holding
 ``report.json`` and optionally ``echelon.json`` + ``echelon.mtx`` (the
 sparse-matrix text format).  Writes are atomic (temp file + rename), so
-concurrent insert-if-absent from several threads is safe: last writer
+concurrent insert-if-absent from several processes is safe: last writer
 wins with identical content.
 """
 
@@ -96,13 +96,13 @@ class BlockCache:
             n_cols=matrix.n_cols,
             field=matrix.field,
             pivot_cols=tuple(meta["pivot_cols"]),
-            reduced_rows=matrix.rows,
+            rows=matrix.rows,
         )
 
     def store_echelon(self, d, n, k, field, ech: EchelonForm) -> None:
         base = _key_dir(self.root, d, n, k, field)
         matrix = SparseMatrix(
-            n_rows=ech.rank, n_cols=ech.n_cols, field=ech.field, rows=ech.reduced_rows
+            n_rows=ech.rank, n_cols=ech.n_cols, field=ech.field, rows=ech.rows
         )
         _atomic_write(base / "echelon.mtx", write_matrix_text(matrix))
         meta = {"schema": SCHEMA_VERSION, "pivot_cols": list(ech.pivot_cols)}

@@ -186,7 +186,6 @@ class OperadModel:
     compose: Callable  # (x, i, y) -> element
     unit: Callable[[], object]
     sample: Callable[[random.Random, int], object]  # (rng, arity) -> element
-    arity_of: Callable[[object], int]
     max_arity: int = 5
 
 
@@ -245,7 +244,6 @@ TENSOR_MODEL = OperadModel(
     compose=tensor_circ,
     unit=WordElement.unit,
     sample=random_word_element,
-    arity_of=lambda x: x.arity,
 )
 
 EXTERIOR_MODEL = OperadModel(
@@ -253,7 +251,6 @@ EXTERIOR_MODEL = OperadModel(
     compose=exterior_circ,
     unit=SignedWordElement.unit,
     sample=random_signed_element,
-    arity_of=lambda x: x.arity,
 )
 
 def random_sorted_element(rng: random.Random, arity: int, d: int = 3) -> SortedWordElement:
@@ -265,7 +262,6 @@ SYMMETRIC_MODEL = OperadModel(
     compose=symmetric_circ,
     unit=SortedWordElement.unit,
     sample=random_sorted_element,
-    arity_of=lambda x: x.arity,
 )
 
 

@@ -111,7 +111,6 @@ def check_gsc_axioms(
     trials: int,
     seed: int,
     d: int = 3,
-    diamond_fn=diamond,
     transpose_fn=transpose,
 ) -> LawReport:
     """Exact randomized check of the two coherence identities and units.
@@ -127,7 +126,7 @@ def check_gsc_axioms(
 
     The composite in (I)'s right side uses the pre-shift slot i exactly
     as written; the suite passing is what validates that reading.  The
-    diamond/transpose maps are injectable for mutation tests.
+    transpose map is injectable for mutation tests.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -146,10 +145,8 @@ def check_gsc_axioms(
         if m >= 2:
             j = rng.randint(2, m)
             i = rng.randint(1, j - 1)
-            lhs = diamond_fn(
-                diamond_fn(x, j, z, b), i, y, row_compose(a, j, transpose_fn(c))
-            )
-            rhs = diamond_fn(diamond_fn(x, i, y, a), j + n - 1, z, row_compose(b, i, c))
+            lhs = diamond(diamond(x, j, z, b), i, y, row_compose(a, j, transpose_fn(c)))
+            rhs = diamond(diamond(x, i, y, a), j + n - 1, z, row_compose(b, i, c))
             rep.checked += 1
             if lhs != rhs:
                 rep.failures.append(
@@ -158,8 +155,8 @@ def check_gsc_axioms(
 
         i = rng.randint(1, m)
         j = rng.randint(1, n)
-        lhs = diamond_fn(diamond_fn(x, i, y, a), j + i - 1, z, row_compose(b, i, c))
-        rhs = diamond_fn(x, i, diamond_fn(y, j, z, c), col_compose(a, j, b))
+        lhs = diamond(diamond(x, i, y, a), j + i - 1, z, row_compose(b, i, c))
+        rhs = diamond(x, i, diamond(y, j, z, c), col_compose(a, j, b))
         rep.checked += 1
         if lhs != rhs:
             rep.failures.append(
@@ -169,8 +166,8 @@ def check_gsc_axioms(
         # unit laws: x <>_i 1 with the tall empty grid, 1 <>_1 x with the wide one
         i = rng.randint(1, m)
         rep.checked += 2
-        if diamond_fn(x, i, unit_element(), RectElement.unit(m - 1, 0)) != x:
+        if diamond(x, i, unit_element(), RectElement.unit(m - 1, 0)) != x:
             rep.failures.append(LawFailure("right-unit", f"i={i}", (m,)))
-        if diamond_fn(unit_element(), 1, x, RectElement.unit(0, m - 1)) != x:
+        if diamond(unit_element(), 1, x, RectElement.unit(0, m - 1)) != x:
             rep.failures.append(LawFailure("left-unit", "", (m,)))
     return rep

@@ -7,18 +7,14 @@ field scalars are plain ints in ``range(p)``.  The hot loops do not go
 through :class:`FieldSpec`'s methods: the sparse engine eliminates over
 Q on primitive integer rows and over GF(p) with ``% p`` inlined, and the
 stretch's union-find keeps int scales, so a ``Fraction`` appears only
-where a value is not an integer (a reduced echelon form, a scale that
-does not divide).
+where a value is not an integer (a normal form, a scale that does not
+divide).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-# Large enough to make rank-drop collisions unlikely, and > 3 because the
-# relation model spans the ideal only when 2 and 3 are invertible.
-DEFAULT_PRIME = 1_000_003
 
 # Distinct primes for the open block's prime-field runs, after its run
 # over Q; the test suite checks the table blocks over each of them.

@@ -11,7 +11,6 @@ span); the shortcut can be disabled to verify the zeros by elimination.
 from __future__ import annotations
 
 import random
-import threading
 import time
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ from .cache import BlockCache
 from .errors import ResourceLimit, ShapeMismatch
 from .fields import FieldSpec
 from .relations import assemble_relation_block, block_rows
-from .sparse import EchelonForm, check_columns, rank_sparse, rref_sparse
+from .sparse import EchelonForm, check_columns, echelon_sparse, rank_sparse
 from .tensor import (
     MultiDegree,
     TriElement,
@@ -101,22 +100,10 @@ class QuotientConfig:
 
 
 _MEM_CACHE: dict = {}
-_MEM_LOCK = threading.Lock()
-
-
-def _mem_get(key):
-    with _MEM_LOCK:
-        return _MEM_CACHE.get(key)
-
-
-def _mem_put(key, value):
-    with _MEM_LOCK:
-        _MEM_CACHE.setdefault(key, value)
 
 
 def clear_memory_cache() -> None:
-    with _MEM_LOCK:
-        _MEM_CACHE.clear()
+    _MEM_CACHE.clear()
 
 
 def block_pruned(n: int, k: MultiDegree) -> bool:
@@ -145,7 +132,7 @@ def block_dimension(
     shortcut = not cfg.no_shortcut
     n_monomials = count_block_monomials(n, k)
     key = ("report", d, n, k, field, shortcut)
-    hit = _mem_get(key)
+    hit = _MEM_CACHE.get(key)
     if hit is not None:
         return hit
     cache = cfg.cache()
@@ -153,7 +140,7 @@ def block_dimension(
         obj = cache.load_report(d, n, k, field)
         if obj is not None:
             rep = BlockReport.from_json(obj)
-            _mem_put(key, rep)
+            _MEM_CACHE.setdefault(key, rep)
             return rep
     if shortcut and block_pruned(n, k):
         rep = BlockReport(
@@ -189,7 +176,7 @@ def block_dimension(
             field=field,
             millis=millis,
         )
-    _mem_put(key, rep)
+    _MEM_CACHE.setdefault(key, rep)
     if shortcut:
         cache.store_report(d, n, k, field, rep.to_json())
     return rep
@@ -241,20 +228,27 @@ def block_echelon(
     field: FieldSpec,
     config: QuotientConfig | None = None,
 ) -> EchelonForm:
-    """Reduced echelon form of a block's relation matrix (cached)."""
+    """Echelon form of a block's relation matrix (cached).
+
+    A block too wide to eliminate is refused before it is assembled.
+    """
     cfg = config or QuotientConfig()
     k = tuple(k)
     key = ("echelon", d, n, k, field)
-    hit = _mem_get(key)
+    hit = _MEM_CACHE.get(key)
     if hit is not None:
         return hit
     cache = cfg.cache()
     ech = cache.load_echelon(d, n, k, field)
     if ech is None:
-        block = assemble_relation_block(n, k, d, field)
-        ech = rref_sparse(block.matrix)
+        try:
+            check_columns(count_block_monomials(n, k))
+            block = assemble_relation_block(n, k, d, field)
+            ech = echelon_sparse(block.matrix)
+        except ResourceLimit as exc:
+            raise ResourceLimit(f"block n={n} k={k} over {field}: {exc}") from exc
         cache.store_echelon(d, n, k, field, ech)
-    _mem_put(key, ech)
+    _MEM_CACHE.setdefault(key, ech)
     return ech
 
 

@@ -1,20 +1,20 @@
-"""Sparse matrices over Q or GF(p): exact rank, reduced echelon forms.
+"""Sparse matrices over Q or GF(p): exact rank and echelon forms.
 
 One engine lives here: pure-Python sparse elimination with a
 Markowitz-style least-fill pivot chosen within the leftmost eligible
 column.  Relation blocks have at most 6 nonzeros per row, so fill-in
 dominates cost and least-fill pivoting keeps it small.  Elimination is
 exact over every field and deterministic.  Over Q it is fraction-free
-(Bareiss): rows are primitive integer rows, a unit pivot costs one int
-subtraction per entry, and ``Fraction`` appears only in a reduced
-echelon form, whose entries are scaled to pivot 1.
+(Bareiss): rows enter as primitive integer rows and a unit pivot costs one
+int subtraction per entry.  Its one output, the forward echelon form,
+gives both the rank and the normal forms.
 """
 
 from __future__ import annotations
 
 import heapq
 import io
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, TextIO
@@ -94,23 +94,19 @@ class SparseMatrix:
 
 @dataclass(frozen=True)
 class EchelonForm:
-    """Reduced row-echelon data: rank, pivot columns, and the RREF rows.
+    """Row-echelon data: rank, pivot columns, and one row per pivot.
 
-    Pivot columns are strictly increasing; each pivot entry is 1 and is
-    the only nonzero in its column among the reduced rows.  Rows are
-    stored sparse, aligned with ``pivot_cols``.
+    Pivot columns are strictly increasing and each row, stored sparse
+    and aligned with ``pivot_cols``, begins at its pivot column, so it
+    has no entry in any earlier pivot column.  Elimination gives integer
+    rows over Q and rows with pivot 1 over GF(p); a reduced echelon form
+    is an echelon form too, and gives the same normal forms.
     """
 
     n_cols: int
     field: FieldSpec
     pivot_cols: tuple[int, ...]
-    reduced_rows: tuple[tuple[tuple[int, object], ...], ...]
-    _pivot_index: dict = dc_field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._pivot_index.update(
-            {c: i for i, c in enumerate(self.pivot_cols)}
-        )
+    rows: tuple[tuple[tuple[int, object], ...], ...]
 
     @property
     def rank(self) -> int:
@@ -121,18 +117,24 @@ class EchelonForm:
         return [c for c in range(self.n_cols) if c not in pivots]
 
     def reduce_vector(self, vec: dict[int, object]) -> dict[int, object]:
-        """Residual of ``vec`` modulo the row space; exact."""
+        """Residual of ``vec`` modulo the row space; exact.
+
+        The pivots are walked in order, clearing each pivot column in
+        turn; a row touches no earlier pivot column, so one pass leaves
+        the unique vector on the non-pivot columns that is congruent to
+        ``vec``.
+        """
         f = self.field
+        p = f.p
         out = {c: f.convert(v) for c, v in vec.items() if v != 0}
-        for c in sorted(out):
-            i = self._pivot_index.get(c)
-            if i is None:
+        for c, row in zip(self.pivot_cols, self.rows):
+            a = out.get(c)
+            if not a:
                 continue
-            coeff = out.get(c)
-            if not coeff:
-                continue
-            for cc, vv in self.reduced_rows[i]:
-                newv = f.sub(out.get(cc, f.zero()), f.mul(coeff, vv))
+            v = row[0][1]
+            t = a * pow(v, p - 2, p) % p if p else a / v
+            for cc, vv in row:
+                newv = f.sub(out.get(cc, 0), f.mul(t, vv))
                 if newv:
                     out[cc] = newv
                 else:
@@ -173,15 +175,13 @@ def _primitive_row(row) -> dict[int, int]:
     return {c: x // g for c, x in ints.items()} if g > 1 else ints
 
 
-def _sparse_eliminate(
-    m: SparseMatrix, want_reduced: bool
-) -> tuple[list[int], list[dict[int, object]]]:
+def _sparse_eliminate(m: SparseMatrix) -> tuple[list[int], list[dict[int, object]]]:
     """Forward elimination; returns (pivot_cols, pivot_rows as dicts).
 
     Pivot choice: leftmost nonempty column, then the row of least fill
     (fewest nonzeros), ties broken by insertion order.
 
-    Over Q every row is a primitive integer row and elimination is
+    Over Q every row enters as a primitive integer row and elimination is
     fraction-free: against pivot value ``v``, a row with entry ``a``
     becomes ``(v/g)*row - (a/g)*prow`` for ``g = gcd(a, v)``, a plain
     subtraction when ``v`` divides ``a`` (every unit pivot), and a row
@@ -189,12 +189,8 @@ def _sparse_eliminate(
     multiple of its rational counterpart, so the fill, the pivots and the
     rank are those of rational elimination.  Over GF(p) the pivot row is
     scaled to pivot 1 and the same loop reduces mod p.
-
-    If ``want_reduced`` the pivot rows are scaled to pivot 1 (``Fraction``
-    entries over Q) and fully back-substituted to RREF.
     """
-    f = m.field
-    p = f.p
+    p = m.field.p
     if p is None:
         rows: list[dict[int, int] | None] = [_primitive_row(r) for r in m.rows]
     else:
@@ -256,49 +252,25 @@ def _sparse_eliminate(
         pivot_cols.append(c)
         pivot_rows.append(prow)
 
-    if want_reduced:
-        if p is None:
-            pivot_rows = [
-                {cc: Fraction(x, row[c]) for cc, x in row.items()}
-                for c, row in zip(pivot_cols, pivot_rows)
-            ]
-        # Back-substitute: pivots were produced in increasing column order.
-        pivot_of = {c: i for i, c in enumerate(pivot_cols)}
-        for i in range(len(pivot_rows) - 1, -1, -1):
-            row = pivot_rows[i]
-            for c in sorted(cc for cc in row if cc in pivot_of and cc != pivot_cols[i]):
-                j = pivot_of[c]
-                if j <= i:
-                    continue
-                coeff = row.get(c)
-                if not coeff:
-                    continue
-                for cc, vv in pivot_rows[j].items():
-                    cur = row.get(cc, f.zero())
-                    nv = f.sub(cur, f.mul(coeff, vv))
-                    if nv:
-                        row[cc] = nv
-                    else:
-                        row.pop(cc, None)
     return pivot_cols, pivot_rows
 
 
 def rank_sparse(m: SparseMatrix) -> int:
     """Exact rank of ``m`` over its field; deterministic elimination."""
     _check_limits(m)
-    pivot_cols, _ = _sparse_eliminate(m, want_reduced=False)
+    pivot_cols, _ = _sparse_eliminate(m)
     return len(pivot_cols)
 
 
-def rref_sparse(m: SparseMatrix) -> EchelonForm:
-    """Reduced row-echelon form of ``m``; row space preserved."""
+def echelon_sparse(m: SparseMatrix) -> EchelonForm:
+    """Forward echelon form of ``m``; row space preserved."""
     _check_limits(m)
-    pivot_cols, pivot_rows = _sparse_eliminate(m, want_reduced=True)
+    pivot_cols, pivot_rows = _sparse_eliminate(m)
     return EchelonForm(
         n_cols=m.n_cols,
         field=m.field,
         pivot_cols=tuple(pivot_cols),
-        reduced_rows=tuple(tuple(sorted(r.items())) for r in pivot_rows),
+        rows=tuple(tuple(sorted(r.items())) for r in pivot_rows),
     )
 
 

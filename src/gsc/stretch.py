@@ -352,7 +352,7 @@ def stretch_rank(
             len(rows), len(roots), field,
             tuple(tuple((roots[c], v) for c, v in row) for row in rows),
         )
-        pivot_cols, _ = sparse._sparse_eliminate(core, want_reduced=False)
+        pivot_cols, _ = sparse._sparse_eliminate(core)
         state.core_rank = len(pivot_cols)
         state.phase = "done"
         _save(state, cache_dir)

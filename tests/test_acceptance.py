@@ -43,7 +43,7 @@ def test_criterion_01_dim2_totals(ctx):
     _run(ctx, 1, bound_seconds=5)
 
 
-def test_criterion_02_dim3_blocks_three_primes(ctx):
+def test_criterion_02_dim3_blocks_over_q(ctx):
     _run(ctx, 2, bound_seconds=600)
 
 
@@ -71,7 +71,7 @@ def test_criterion_08_oracle_equivalence(ctx):
     _run(ctx, 8, bound_seconds=300)
 
 
-def test_criterion_09_variant_equivalence(ctx):
+def test_criterion_09_generator_families_span_model_rows(ctx):
     _run(ctx, 9, bound_seconds=4)
 
 

@@ -35,13 +35,13 @@ def test_echelon_round_trip(tmp_path):
         n_cols=3,
         field=Q,
         pivot_cols=(0,),
-        reduced_rows=(((0, 1), (2, 2)),),
+        rows=(((0, 1), (2, 2)),),
     )
     cache.store_echelon(2, 3, (2, 1), Q, ech)
     back = cache.load_echelon(2, 3, (2, 1), Q)
     assert back.pivot_cols == (0,)
     assert back.rank == 1
-    assert back.reduced_rows[0][1][1] == 2
+    assert back.rows[0][1][1] == 2
 
 
 def test_concurrent_insert_if_absent(tmp_path):

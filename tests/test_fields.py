@@ -2,11 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from gsc.fields import DEFAULT_PRIME, MULTI_PRIME_SET, FieldSpec, is_prime
+from gsc.fields import MULTI_PRIME_SET, FieldSpec, is_prime
 
 
 def test_default_primes_are_prime():
-    assert is_prime(DEFAULT_PRIME)
     for p in MULTI_PRIME_SET:
         assert is_prime(p) and p > 3
     assert len(set(MULTI_PRIME_SET)) == 3

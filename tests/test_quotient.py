@@ -246,7 +246,29 @@ def test_rref_of_pair_block_is_all_ones_row(cfg):
     ech = block_echelon(3, (2, 1), 2, Q, config=cfg)
     assert ech.rank == 1
     assert ech.pivot_cols == (0,)
-    assert ech.reduced_rows == (((0, 1), (1, 1), (2, 1)),)
+    assert ech.rows == (((0, 1), (1, 1), (2, 1)),)
+
+
+def test_reduce_refuses_wide_block_before_assembly(cfg, monkeypatch):
+    # a normal form needs the block's echelon form; a block too wide to
+    # eliminate is refused from its column count, naming the block, before
+    # any of its rows are built
+    import gsc.quotient as quotient
+    from gsc.errors import ResourceLimit
+
+    assembled = []
+    real_assemble = quotient.assemble_relation_block
+
+    def recording_assemble(n, k, *args, **kwargs):
+        assembled.append((n, tuple(k)))
+        return real_assemble(n, k, *args, **kwargs)
+
+    monkeypatch.setattr("gsc.sparse.MAX_COLUMNS", 50)
+    monkeypatch.setattr(quotient, "assemble_relation_block", recording_assemble)
+    x = TriElement.monomial(TriMonomial(4, (1, 1, 2, 2, 3, 3)))  # 90 columns
+    with pytest.raises(ResourceLimit, match=r"block n=4 k=\(2, 2, 2\) over Q"):
+        quotient_reduce(x, 3, Q, cfg)
+    assert assembled == []
 
 
 def test_echelon_cache_disk_round_trip(tmp_path):
@@ -256,4 +278,4 @@ def test_echelon_cache_disk_round_trip(tmp_path):
     clear_memory_cache()
     e2 = block_echelon(3, (2, 1), 2, Q, config=cfg1)
     assert e1.pivot_cols == e2.pivot_cols
-    assert e1.reduced_rows == e2.reduced_rows
+    assert e1.rows == e2.rows

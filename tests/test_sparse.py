@@ -3,14 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from gsc import cache
 from gsc.errors import ResourceLimit
 from gsc.fields import FieldSpec
+from gsc.relations import assemble_relation_block
 from gsc.sparse import (
+    EchelonForm,
     SparseMatrix,
     _sparse_eliminate,
+    echelon_sparse,
     rank_sparse,
     read_matrix_text,
-    rref_sparse,
     write_matrix_text,
 )
 
@@ -46,15 +49,15 @@ def test_three_identical_rows_rank_one():
 
 def test_proportional_rows_rref():
     m = SparseMatrix.from_dense([[1, 2], [2, 4]], Q)
-    ech = rref_sparse(m)
+    ech = echelon_sparse(m)
     assert ech.rank == 1
     assert ech.pivot_cols == (0,)
-    assert ech.reduced_rows == (((0, Fraction(1)), (1, Fraction(2))),)
+    assert ech.rows == (((0, 1), (1, 2)),)
 
 
 def test_zero_matrix_rref():
     m = SparseMatrix.from_entries(4, 3, Q, [])
-    ech = rref_sparse(m)
+    ech = echelon_sparse(m)
     assert ech.rank == 0 and ech.pivot_cols == ()
 
 
@@ -68,7 +71,7 @@ def test_stored_zeros_dropped():
     assert m.n_entries == 1
 
 
-def test_rank_rref_agree_and_gfp_bounded_by_rational():
+def test_rank_and_echelon_agree_and_gfp_bounded_by_rational():
     rng = random.Random(11)
     for _ in range(1000):
         rows, cols = rng.randint(1, 8), rng.randint(1, 8)
@@ -76,25 +79,41 @@ def test_rank_rref_agree_and_gfp_bounded_by_rational():
         entries = [(r, c, v) for r, c, v in mq.iter_entries()]
         mp = SparseMatrix.from_entries(rows, cols, GF5, entries)
         rq = rank_sparse(mq)
-        assert rref_sparse(mq).rank == rq
+        assert echelon_sparse(mq).rank == rq
         assert rank_sparse(mp) <= rq
-        assert rref_sparse(mp).rank == rank_sparse(mp)
+        assert echelon_sparse(mp).rank == rank_sparse(mp)
 
 
-def reference_rref(dense):
-    """Dense Gauss-Jordan over Q: the RREF rows, sparse, in pivot order."""
-    rows = [[Fraction(x) for x in r] for r in dense]
+def reference_rref(dense, field=Q):
+    """Dense Gauss-Jordan: the RREF rows, sparse, in pivot order."""
+    p = field.p
+    rows = [[field.convert(x) for x in r] for r in dense]
     done = []
     for c in range(len(dense[0]) if dense else 0):
         pivot = next((r for r in rows if r[c]), None)
         if pivot is None:
             continue
         rows.remove(pivot)
-        pivot = [x / pivot[c] for x in pivot]
-        rows = [[x - r[c] * y for x, y in zip(r, pivot)] for r in rows]
-        done = [[x - r[c] * y for x, y in zip(r, pivot)] for r in done]
+        inv = pow(pivot[c], p - 2, p) if p else 1 / pivot[c]
+        pivot = [field.mul(x, inv) for x in pivot]
+        rows = [[field.sub(x, field.mul(r[c], y)) for x, y in zip(r, pivot)] for r in rows]
+        done = [[field.sub(x, field.mul(r[c], y)) for x, y in zip(r, pivot)] for r in done]
         done.append(pivot)
     return tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in done)
+
+
+def reference_residual(rref_rows, vec, field):
+    """``vec`` minus its component along each RREF row's pivot."""
+    out = {c: field.convert(v) for c, v in vec.items()}
+    for row in rref_rows:
+        a = out.get(row[0][0], 0)
+        for c, v in row:
+            out[c] = field.sub(out.get(c, 0), field.mul(a, v))
+    return {c: v for c, v in out.items() if v}
+
+
+def random_vector(rng, cols):
+    return {c: rng.randint(-9, 9) for c in range(cols) if rng.random() < 0.6}
 
 
 def random_rational_dense(rng, rows, cols):
@@ -118,30 +137,51 @@ def random_rational_dense(rng, rows, cols):
 def test_rational_elimination_matches_dense_reference():
     rng = random.Random(20)
     for _ in range(600):
-        dense = random_rational_dense(rng, rng.randint(1, 8), rng.randint(1, 8))
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        dense = random_rational_dense(rng, rows, cols)
         m = SparseMatrix.from_dense(dense, Q)
         want = reference_rref(dense)
         assert rank_sparse(m) == len(want), dense
-        assert rref_sparse(m).reduced_rows == want, dense
+        ech = echelon_sparse(m)
+        assert ech.pivot_cols == tuple(row[0][0] for row in want), dense
+        for _ in range(3):
+            vec = random_vector(rng, cols)
+            assert ech.reduce_vector(vec) == reference_residual(want, vec, Q), (dense, vec)
         # the forward pass runs on integers only
-        _, pivot_rows = _sparse_eliminate(m, want_reduced=False)
-        assert all(type(x) is int for row in pivot_rows for x in row.values()), dense
+        assert all(type(x) is int for row in ech.rows for _, x in row), dense
+
+
+def test_prime_field_echelon_matches_dense_reference():
+    rng = random.Random(21)
+    for p in (5, 97):
+        field = FieldSpec.prime(p, allow_small=True)
+        for _ in range(300):
+            rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+            dense = [[rng.randint(-20, 20) for _ in range(cols)] for _ in range(rows)]
+            m = SparseMatrix.from_dense(dense, field)
+            want = reference_rref(dense, field)
+            ech = echelon_sparse(m)
+            assert ech.pivot_cols == tuple(row[0][0] for row in want), dense
+            assert all(row[0][1] == 1 for row in ech.rows), dense
+            for _ in range(3):
+                vec = random_vector(rng, cols)
+                assert ech.reduce_vector(vec) == reference_residual(want, vec, field), (dense, vec)
 
 
 def test_rational_forward_rows_are_fraction_free_and_scaled_rows_primitive():
     # pivot 2 does not divide 1: row 1 becomes 2*row1 - row0 = (0, 3, 3),
     # whose content 3 is divided out
     m = SparseMatrix.from_dense([[2, 1, 1], [1, 2, 2]], Q)
-    assert _sparse_eliminate(m, want_reduced=False) == ([0, 1], [{0: 2, 1: 1, 2: 1}, {1: 1, 2: 1}])
+    assert _sparse_eliminate(m) == ([0, 1], [{0: 2, 1: 1, 2: 1}, {1: 1, 2: 1}])
     # a row with denominators enters as a primitive integer row; a pivot
     # that divides the entry is a plain subtraction: (4, 5) - 2*(2, -3)
     m = SparseMatrix.from_dense([[Fraction(1, 2), Fraction(-3, 4)], [4, 5]], Q)
-    assert _sparse_eliminate(m, want_reduced=False) == ([0, 1], [{0: 2, 1: -3}, {1: 11}])
+    assert _sparse_eliminate(m) == ([0, 1], [{0: 2, 1: -3}, {1: 11}])
 
 
-def test_rref_reduce_vector_normal_form():
+def test_echelon_reduce_vector_normal_form():
     m = SparseMatrix.from_dense([[1, 1, 0], [0, 1, 1]], Q)
-    ech = rref_sparse(m)
+    ech = echelon_sparse(m)
     # v = row0 + row1 reduces to zero
     assert ech.reduce_vector({0: 1, 1: 2, 2: 1}) == {}
     residual = ech.reduce_vector({0: 1, 1: 0, 2: 0})
@@ -195,8 +235,7 @@ def test_concurrent_rank_on_distinct_matrices():
 
 
 @pytest.mark.parametrize("field", [Q, FieldSpec.prime(97)], ids=str)
-def test_prime_field_refuses_wide_matrix(field):
-    # one column limit for every field
+def test_one_column_limit_refuses_wide_matrix(field):
     from gsc.sparse import MAX_COLUMNS
 
     at_limit = SparseMatrix.from_entries(1, MAX_COLUMNS, field, [(0, 0, 1)])
@@ -204,3 +243,26 @@ def test_prime_field_refuses_wide_matrix(field):
     m = SparseMatrix.from_entries(1, MAX_COLUMNS + 1, field, [(0, 0, 1)])
     with pytest.raises(ResourceLimit, match="streaming stretch path"):
         rank_sparse(m)
+
+
+@pytest.mark.parametrize("field", [Q, FieldSpec.prime(1_000_003)], ids=str)
+def test_reduced_echelon_rows_give_the_same_normal_forms(tmp_path, field):
+    # a reduced echelon form, as an earlier version stored it in the cache,
+    # is a forward echelon with pivot 1: its normal forms are the same, so
+    # the cache schema stays
+    assert cache.SCHEMA_VERSION == 3
+    m = assemble_relation_block(4, (2, 2, 2), 3, field).matrix
+    dense = [[0] * m.n_cols for _ in range(m.n_rows)]
+    for r, c, v in m.iter_entries():
+        dense[r][c] = v
+    rref = reference_rref(dense, field)
+    ech = echelon_sparse(m)
+    assert ech.rows != rref  # the forward echelon is not reduced here
+    store = cache.BlockCache(tmp_path)
+    store.store_echelon(3, 4, (2, 2, 2), field, EchelonForm(m.n_cols, field, ech.pivot_cols, rref))
+    stored = store.load_echelon(3, 4, (2, 2, 2), field)
+    assert stored.rows == rref
+    rng = random.Random(5)
+    vectors = [{c: 1} for c in range(m.n_cols)] + [random_vector(rng, m.n_cols) for _ in range(20)]
+    for vec in vectors:
+        assert stored.reduce_vector(vec) == ech.reduce_vector(vec), vec
