@@ -15,8 +15,10 @@ import os
 import tempfile
 from pathlib import Path
 
+from .errors import ShapeMismatch
 from .fields import FieldSpec
 from .sparse import EchelonForm, SparseMatrix, read_matrix_text, write_matrix_text
+from .tensor import count_block_monomials
 
 # Older schemas live under v1/ and v2/ and are never read: schema 1
 # reports could hold a multi-prime upper bound for a rational request,
@@ -69,7 +71,7 @@ class BlockCache:
             obj = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError):
             return None
-        if obj.get("schema") != SCHEMA_VERSION:
+        if not isinstance(obj, dict) or obj.get("schema") != SCHEMA_VERSION:
             return None
         return obj
 
@@ -80,6 +82,13 @@ class BlockCache:
         _atomic_write(path, json.dumps(report, sort_keys=True, indent=1) + "\n")
 
     def load_echelon(self, d, n, k, field) -> EchelonForm | None:
+        """The cached echelon form of the block, or None on a miss.
+
+        Files that do not hold an echelon form of this block (another
+        field or width, a row count that is not the pivot count, pivots
+        out of order, a row that does not begin at its pivot) are a miss,
+        so the block is eliminated again.
+        """
         base = _key_dir(self.root, d, n, k, field)
         meta_path = base / "echelon.json"
         mtx_path = base / "echelon.mtx"
@@ -88,14 +97,24 @@ class BlockCache:
         try:
             meta = json.loads(meta_path.read_text())
             matrix = read_matrix_text(mtx_path.read_text())
-        except (OSError, ValueError, json.JSONDecodeError):
+            pivots = tuple(meta["pivot_cols"])
+            schema = meta["schema"]
+        except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError, ShapeMismatch):
             return None
-        if meta.get("schema") != SCHEMA_VERSION:
+        if not (
+            schema == SCHEMA_VERSION
+            and matrix.field == field
+            and matrix.n_cols == count_block_monomials(n, k)
+            and matrix.n_rows == len(pivots)
+            and all(type(c) is int for c in pivots)
+            and all(a < b for a, b in zip(pivots, pivots[1:]))
+            and all(row and row[0][0] == c for c, row in zip(pivots, matrix.rows))
+        ):
             return None
         return EchelonForm(
             n_cols=matrix.n_cols,
             field=matrix.field,
-            pivot_cols=tuple(meta["pivot_cols"]),
+            pivot_cols=pivots,
             rows=matrix.rows,
         )
 

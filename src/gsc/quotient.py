@@ -78,8 +78,8 @@ class BlockReport:
             dimension=obj["dimension"],
             field=FieldSpec.parse(obj["field"]),
             millis=obj["millis"],
-            pruned=obj.get("pruned", False),
-            certified=obj.get("certified", "exact"),
+            pruned=obj["pruned"],
+            certified=obj["certified"],
         )
 
 
@@ -111,6 +111,23 @@ def block_pruned(n: int, k: MultiDegree) -> bool:
     return n >= 3 and max(k) >= n if k else False
 
 
+def _cached_report(obj, d, n, k, field, n_monomials) -> BlockReport | None:
+    """The cached report ``obj`` if it is whole and is this block's.
+
+    A report that lacks a key, belongs to another block or field, or
+    whose dimension is not its monomial count minus its rank is a miss,
+    so the block is computed again.
+    """
+    if obj is None:
+        return None
+    try:
+        rep = BlockReport.from_json(obj)
+        fits = (rep.d, rep.n, rep.k, rep.field, rep.n_monomials) == (d, n, k, field, n_monomials)
+        return rep if fits and rep.dimension == n_monomials - rep.rank else None
+    except (AttributeError, KeyError, TypeError, ValueError):
+        return None
+
+
 def block_dimension(
     n: int,
     k: MultiDegree,
@@ -137,9 +154,8 @@ def block_dimension(
         return hit
     cache = cfg.cache()
     if shortcut:
-        obj = cache.load_report(d, n, k, field)
-        if obj is not None:
-            rep = BlockReport.from_json(obj)
+        rep = _cached_report(cache.load_report(d, n, k, field), d, n, k, field, n_monomials)
+        if rep is not None:
             _MEM_CACHE.setdefault(key, rep)
             return rep
     if shortcut and block_pruned(n, k):

@@ -214,10 +214,10 @@ def assemble_relation_block(n: int, k: MultiDegree, d: int, field: FieldSpec) ->
     """
     monomials = enumerate_block_monomials(n, tuple(k))
     rows = block_rows(n, tuple(k), d, field)
-    one = field.one()
-    # rows are sorted and duplicate-free, as SparseMatrix requires
+    # rows are sorted and duplicate-free, as SparseMatrix requires; every
+    # entry is the int 1, the unit of every field (over Q too)
     matrix = SparseMatrix(
-        len(rows), len(monomials), field, tuple(tuple((c, one) for c in row) for row in rows)
+        len(rows), len(monomials), field, tuple(tuple(zip(row, repeat(1))) for row in rows)
     )
     return RelationBlock(
         n=n,

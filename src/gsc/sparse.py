@@ -5,9 +5,13 @@ Markowitz-style least-fill pivot chosen within the leftmost eligible
 column.  Relation blocks have at most 6 nonzeros per row, so fill-in
 dominates cost and least-fill pivoting keeps it small.  Elimination is
 exact over every field and deterministic.  Over Q it is fraction-free
-(Bareiss): rows enter as primitive integer rows and a unit pivot costs one
-int subtraction per entry.  Its one output, the forward echelon form,
-gives both the rank and the normal forms.
+(Bareiss): rows enter as primitive integer rows (relation rows arrive as
+the int 1, the unit of every field, and enter unchanged) and a unit pivot
+costs one int subtraction per entry.  Relation blocks pivot almost only
+on units, ±1 over Q and 1 over GF(p), so the loop has paths for them that
+skip ``divmod`` and rescaling, and a one-entry unit pivot row only deletes
+its column from the rows below it.  Its one output, the forward echelon
+form, gives both the rank and the normal forms.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import heapq
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from typing import Iterable, Iterator, TextIO
 
@@ -38,7 +43,10 @@ class SparseMatrix:
 
     ``rows[i]`` is a tuple of (col, value) pairs with strictly increasing
     col and nonzero value.  Duplicate (row, col) insertions are an error,
-    not a sum: relation assembly controls its own accumulation.
+    not a sum: relation assembly controls its own accumulation.  Values
+    are field scalars (``Fraction`` over Q, ints in ``range(p)`` over
+    GF(p)) or the int 1, the unit of every field, which relation assembly
+    stores over Q too; elimination takes int rows over Q as they are.
     """
 
     n_rows: int
@@ -160,18 +168,20 @@ def _check_limits(m: SparseMatrix) -> None:
 def _primitive_row(row) -> dict[int, int]:
     """A row over Q as a primitive integer row spanning the same line.
 
-    It is scaled by the lcm of its denominators and divided by the gcd
-    of the numerators that result; a row of unit entries is unchanged.
+    A row of ints is only divided by its content; a row holding a
+    ``Fraction`` is first scaled by the lcm of its denominators.  A row
+    of unit entries, such as every relation row, is unchanged.
     """
-    den = 1
-    for _, v in row:
-        if v.denominator != 1:
-            den = lcm(den, v.denominator)
-    if den == 1:
-        ints = {c: v.numerator for c, v in row}
-    else:
-        ints = {c: v.numerator * (den // v.denominator) for c, v in row}
-    g = gcd(*ints.values())
+    ints = dict(row)
+    try:
+        g = gcd(*ints.values())
+    except TypeError:  # a Fraction entry: clear the denominators first
+        den = 1
+        for v in ints.values():
+            if v.denominator != 1:
+                den = lcm(den, v.denominator)
+        ints = {c: v.numerator * (den // v.denominator) for c, v in ints.items()}
+        g = gcd(*ints.values())
     return {c: x // g for c, x in ints.items()} if g > 1 else ints
 
 
@@ -179,16 +189,23 @@ def _sparse_eliminate(m: SparseMatrix) -> tuple[list[int], list[dict[int, object
     """Forward elimination; returns (pivot_cols, pivot_rows as dicts).
 
     Pivot choice: leftmost nonempty column, then the row of least fill
-    (fewest nonzeros), ties broken by insertion order.
+    (fewest nonzeros), ties broken by row index.
 
     Over Q every row enters as a primitive integer row and elimination is
     fraction-free: against pivot value ``v``, a row with entry ``a``
     becomes ``(v/g)*row - (a/g)*prow`` for ``g = gcd(a, v)``, a plain
-    subtraction when ``v`` divides ``a`` (every unit pivot), and a row
-    that was scaled is divided by its content.  Each row stays a nonzero
-    multiple of its rational counterpart, so the fill, the pivots and the
-    rank are those of rational elimination.  Over GF(p) the pivot row is
-    scaled to pivot 1 and the same loop reduces mod p.
+    subtraction when ``v`` divides ``a``, and a row that was scaled is
+    divided by its content.  Each row stays a nonzero multiple of its
+    rational counterpart, so the fill, the pivots and the rank are those
+    of rational elimination.  Over GF(p) the pivot row is scaled to
+    pivot 1 and the same loop reduces mod p.
+
+    Relation rows are all 1, so nearly every pivot is a unit: ±1 over Q,
+    1 over GF(p).  A unit pivot needs no ``divmod`` and no rescaling, a
+    row with entry ``a`` subtracts ``(a*v)*prow``, and a unit pivot row
+    with no other entry only deletes its column from the rows below.
+    The pivot column is taken out of the pivot row once, and each row
+    below drops its entry there before the rest is subtracted.
     """
     p = m.field.p
     if p is None:
@@ -201,16 +218,21 @@ def _sparse_eliminate(m: SparseMatrix) -> tuple[list[int], list[dict[int, object
             col_rows.setdefault(c, set()).add(i)
     heap = list(col_rows.keys())
     heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
 
     pivot_cols: list[int] = []
     pivot_rows: list[dict[int, object]] = []
 
     while heap:
-        c = heapq.heappop(heap)
-        live = col_rows.get(c)
+        c = heappop(heap)
+        live = col_rows[c]
         if not live:
             continue
-        pid = min(live, key=lambda i: (len(rows[i]), i))
+        if len(live) == 1:
+            pid = next(iter(live))
+        else:  # the least index among the shortest live rows
+            lens = list(map(len, map(rows.__getitem__, live)))
+            pid = min(compress(live, map(min(lens).__eq__, lens)))
         prow = rows[pid]
         rows[pid] = None
         for cc in prow:
@@ -220,37 +242,65 @@ def _sparse_eliminate(m: SparseMatrix) -> tuple[list[int], list[dict[int, object
             inv = pow(v, p - 2, p)
             prow = {cc: inv * vv % p for cc, vv in prow.items()}
             v = 1
-        pitems = prow.items()
-        for i in list(live):
-            row = rows[i]
-            a = row[c]
-            t, r = divmod(a, v)
-            if r:  # over Q, v does not divide a: scale the row first
-                g = gcd(a, v)
-                s, t = abs(v) // g, (a if v > 0 else -a) // g
-                for cc in row:
-                    row[cc] *= s
-            for cc, vv in pitems:
-                cur = row.get(cc)
-                if cur is None:
-                    row[cc] = -t * vv % p if p else -t * vv
-                    col_rows.setdefault(cc, set()).add(i)
-                    if len(col_rows[cc]) == 1:
-                        heapq.heappush(heap, cc)
-                else:
-                    nv = (cur - t * vv) % p if p else cur - t * vv
-                    if nv:
-                        row[cc] = nv
-                    else:
-                        del row[cc]
-                        col_rows[cc].discard(i)
-            if r:
-                g = gcd(*row.values())
-                if g > 1:
-                    for cc in row:
-                        row[cc] //= g
         pivot_cols.append(c)
         pivot_rows.append(prow)
+        # the rest of the pivot row, with each column's live row set
+        rest = [(cc, vv, col_rows[cc]) for cc, vv in prow.items() if cc != c]
+        unit = v == 1 or v == -1
+        if unit and not rest:
+            for i in live:
+                del rows[i][c]
+        elif p:
+            for i in live:
+                row = rows[i]
+                t = row.pop(c)
+                for cc, vv, s in rest:
+                    cur = row.get(cc)
+                    if cur is None:
+                        row[cc] = -t * vv % p
+                        if not s:  # an emptied column is queued again
+                            heappush(heap, cc)
+                        s.add(i)
+                    else:
+                        nv = (cur - t * vv) % p
+                        if nv:
+                            row[cc] = nv
+                        else:
+                            del row[cc]
+                            s.discard(i)
+        else:
+            for i in live:
+                row = rows[i]
+                a = row.pop(c)
+                if unit:
+                    t, r = a * v, 0
+                else:
+                    t, r = divmod(a, v)
+                    if r:  # v does not divide a: scale the row first
+                        g = gcd(a, v)
+                        scale, t = abs(v) // g, (a if v > 0 else -a) // g
+                        for cc in row:
+                            row[cc] *= scale
+                for cc, vv, s in rest:
+                    cur = row.get(cc)
+                    if cur is None:
+                        row[cc] = -t * vv
+                        if not s:  # an emptied column is queued again
+                            heappush(heap, cc)
+                        s.add(i)
+                    else:
+                        nv = cur - t * vv
+                        if nv:
+                            row[cc] = nv
+                        else:
+                            del row[cc]
+                            s.discard(i)
+                if r:
+                    g = gcd(*row.values())
+                    if g > 1:
+                        for cc in row:
+                            row[cc] //= g
+        live.clear()
 
     return pivot_cols, pivot_rows
 

@@ -5,7 +5,7 @@ import pytest
 
 from gsc.cache import BlockCache, resolve_cache_dir
 from gsc.fields import FieldSpec
-from gsc.quotient import QuotientConfig, block_dimension, clear_memory_cache
+from gsc.quotient import QuotientConfig, block_dimension, block_echelon, clear_memory_cache
 from gsc.sparse import EchelonForm
 
 Q = FieldSpec.rational()
@@ -93,3 +93,90 @@ def test_schema_1_upper_bound_report_not_served(tmp_path, schema):
     clear_memory_cache()
     assert rep.certified == "exact"
     assert rep.dimension == 1
+
+
+def _block_files(root, name):
+    files = list(root.rglob(name))
+    assert len(files) == 1
+    return files[0]
+
+
+def test_echelon_with_cut_pivots_is_recomputed(tmp_path):
+    # echelon.json with 5 pivot columns cut no longer has one pivot per
+    # row, so reduce_vector would pair rows with the wrong pivots
+    clear_memory_cache()
+    cfg = QuotientConfig(cache_dir=tmp_path)
+    ech = block_echelon(4, (2, 2, 2), 3, Q, config=cfg)
+    meta_path = _block_files(tmp_path, "echelon.json")
+    meta = json.loads(meta_path.read_text())
+    meta["pivot_cols"] = meta["pivot_cols"][:-5]
+    meta_path.write_text(json.dumps(meta))
+    assert BlockCache(tmp_path).load_echelon(3, 4, (2, 2, 2), Q) is None
+    clear_memory_cache()
+    again = block_echelon(4, (2, 2, 2), 3, Q, config=cfg)
+    assert again == ech
+    # the recomputed echelon replaced the corrupt files
+    assert BlockCache(tmp_path).load_echelon(3, 4, (2, 2, 2), Q) == ech
+
+
+def _corrupt(ech, how):
+    pivots, rows = ech.pivot_cols, ech.rows
+    if how == "width":
+        return EchelonForm(ech.n_cols + 1, ech.field, pivots, rows)
+    if how == "pivot order":
+        return EchelonForm(ech.n_cols, ech.field, pivots[1:2] + pivots[:1] + pivots[2:], rows)
+    if how == "row start":
+        return EchelonForm(ech.n_cols, ech.field, pivots, rows[1:] + rows[:1])
+    raise ValueError(how)
+
+
+@pytest.mark.parametrize("how", ["width", "pivot order", "row start"])
+def test_inconsistent_echelon_is_a_miss(tmp_path, how):
+    clear_memory_cache()
+    ech = block_echelon(4, (3, 2, 1), 3, Q, config=QuotientConfig(cache_dir=tmp_path / "ok"))
+    cache = BlockCache(tmp_path)
+    cache.store_echelon(3, 4, (3, 2, 1), Q, ech)
+    assert cache.load_echelon(3, 4, (3, 2, 1), Q) == ech
+    cache.store_echelon(3, 4, (3, 2, 1), Q, _corrupt(ech, how))
+    assert cache.load_echelon(3, 4, (3, 2, 1), Q) is None
+
+
+def test_echelon_of_another_field_is_a_miss(tmp_path):
+    clear_memory_cache()
+    ech = block_echelon(4, (3, 2, 1), 3, Q, config=QuotientConfig(cache_dir=tmp_path / "ok"))
+    cache = BlockCache(tmp_path)
+    gfp = FieldSpec.prime(1_000_003)
+    cache.store_echelon(3, 4, (3, 2, 1), gfp, ech)
+    assert cache.load_echelon(3, 4, (3, 2, 1), gfp) is None
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"rank": None},  # the key is dropped
+        {"rank": 1},  # dimension 19 is not 20 - 1
+        {"dimension": 999},
+        {"d": 3},  # another block's report
+        {"field": "prime:1000003"},
+        {"monomials": 21, "dimension": 6},
+    ],
+    ids=str,
+)
+def test_incomplete_or_inconsistent_report_is_recomputed(tmp_path, edit):
+    clear_memory_cache()
+    cfg = QuotientConfig(cache_dir=tmp_path)
+    rep = block_dimension(4, (3, 3), 2, Q, config=cfg)
+    assert rep.dimension == 1
+    path = _block_files(tmp_path, "report.json")
+    obj = json.loads(path.read_text())
+    for key, value in edit.items():
+        if value is None:
+            del obj[key]
+        else:
+            obj[key] = value
+    path.write_text(json.dumps(obj))
+    clear_memory_cache()
+    again = block_dimension(4, (3, 3), 2, Q, config=cfg)
+    assert {**again.to_json(), "millis": 0} == {**rep.to_json(), "millis": 0}
+    # the recomputed report replaced the corrupt one
+    assert json.loads(path.read_text())["rank"] == rep.rank

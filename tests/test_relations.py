@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from gsc.errors import CharacteristicUnsupported, DegreeMismatch
@@ -149,3 +151,12 @@ def test_assembly_is_deterministic():
     b = assemble_relation_block(4, (3, 2, 1), 3, Q)
     assert a.matrix.rows == b.matrix.rows
     assert a.monomials == b.monomials
+
+
+@pytest.mark.parametrize("field", [Q, FieldSpec.prime(5), FieldSpec.prime(1_000_003)], ids=str)
+def test_assembled_entries_are_the_int_one(field):
+    # 1 is the unit of every field: over Q it equals Fraction(1)
+    m = assemble_relation_block(4, (3, 2, 1), 3, field).matrix
+    values = [v for _, _, v in m.iter_entries()]
+    assert values and all(type(v) is int and v == 1 for v in values)
+    assert values[0] == field.one() == Fraction(1)

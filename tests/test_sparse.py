@@ -10,6 +10,7 @@ from gsc.relations import assemble_relation_block
 from gsc.sparse import (
     EchelonForm,
     SparseMatrix,
+    _primitive_row,
     _sparse_eliminate,
     echelon_sparse,
     rank_sparse,
@@ -177,6 +178,57 @@ def test_rational_forward_rows_are_fraction_free_and_scaled_rows_primitive():
     # that divides the entry is a plain subtraction: (4, 5) - 2*(2, -3)
     m = SparseMatrix.from_dense([[Fraction(1, 2), Fraction(-3, 4)], [4, 5]], Q)
     assert _sparse_eliminate(m) == ([0, 1], [{0: 2, 1: -3}, {1: 11}])
+
+
+@pytest.mark.parametrize("field", [Q, FieldSpec.prime(1_000_003)], ids=str)
+@pytest.mark.parametrize("k", [(2, 2, 2), (3, 2, 1)], ids=str)
+def test_relation_block_echelon_matches_dense_reference(field, k):
+    # unit relation rows take the unit-pivot paths, including pivots -1
+    # and pivot rows with one entry; the dense Fraction elimination has
+    # the same pivot columns and the same residuals
+    m = assemble_relation_block(4, k, 3, field).matrix
+    dense = [[0] * m.n_cols for _ in range(m.n_rows)]
+    for r, c, v in m.iter_entries():
+        dense[r][c] = Fraction(v)
+    want = reference_rref(dense, field)
+    ech = echelon_sparse(m)
+    assert ech.pivot_cols == tuple(row[0][0] for row in want)
+    rng = random.Random(13)
+    vectors = [{c: 1} for c in range(m.n_cols)] + [random_vector(rng, m.n_cols) for _ in range(20)]
+    for vec in vectors:
+        assert ech.reduce_vector(vec) == reference_residual(want, vec, field), vec
+
+
+def test_unit_matrices_match_dense_reference():
+    # entries in {-1, 0, 1}: mostly unit pivots, with cancellations that
+    # empty a column and fill it again.  In the first matrix column 2
+    # loses its one row to the first pivot and is filled again, so it is
+    # queued twice; each one-entry pivot must leave its column empty
+    rng = random.Random(22)
+    for field in (Q, GF5):
+        first = [[-1, 0, 1], [1, 1, 0], [0, -1, 0], [1, -1, 0]]
+        for i in range(400):
+            rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+            dense = [[rng.choice((-1, 0, 0, 1)) for _ in range(cols)] for _ in range(rows)]
+            dense = dense if i else first
+            want = reference_rref(dense, field)
+            ech = echelon_sparse(SparseMatrix.from_dense(dense, field))
+            assert ech.pivot_cols == tuple(row[0][0] for row in want), dense
+            vec = random_vector(rng, cols)
+            assert ech.reduce_vector(vec) == reference_residual(want, vec, field), (dense, vec)
+
+
+def test_primitive_row_int_and_fraction_rows():
+    # a row of ints is only divided by its content
+    assert _primitive_row(((0, 2), (3, 4))) == {0: 1, 3: 2}
+    assert _primitive_row(((1, 1), (2, -1))) == {1: 1, 2: -1}
+    # a row with a Fraction is cleared of denominators first:
+    # 4 * (1/2, 3, -3/4) = (2, 12, -3)
+    got = _primitive_row(((0, Fraction(1, 2)), (1, 3), (4, Fraction(-3, 4))))
+    assert got == {0: 2, 1: 12, 4: -3}
+    got = _primitive_row(((0, 4), (5, Fraction(6))))
+    assert got == {0: 2, 5: 3}
+    assert all(type(x) is int for x in got.values())
 
 
 def test_echelon_reduce_vector_normal_form():
