@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from itertools import permutations
@@ -23,8 +24,8 @@ from .classical import (
     OperadModel,
     SignedWordElement,
     check_operad_axioms,
+    exterior_circ,
     random_signed_element,
-    sort_with_sign,
 )
 from .diamond import check_gsc_axioms
 from .dets2 import (
@@ -46,15 +47,13 @@ from .relations import block_rows
 from .saturation import GENERATOR_FAMILIES, saturation_oracle
 from .sparse import SparseMatrix, rank_sparse
 from .tensor import (
-    _merge_terms,
+    _multinomial,
     count_block_monomials,
     multidegree_of,
     multidegrees,
     n_triangle_entries,
     rank_in_block,
 )
-
-Word = tuple
 
 # Random samples per claim: criterion 5 (two-alternating checks),
 # criterion 6 (functoriality matrices), criterion 10 (repeated-letter
@@ -135,34 +134,6 @@ def criterion_2(ctx: AcceptanceContext) -> list[ClaimResult]:
     return out
 
 
-def _sorted_types(total: int, d: int):
-    """Descending multidegree types (sorted representatives)."""
-    out = []
-
-    def rec(prefix, remaining, slots, bound):
-        if slots == 0:
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        for v in range(min(remaining, bound), -1, -1):
-            rec(prefix + [v], remaining - v, slots - 1, v)
-
-    rec([], total, d, total)
-    return out
-
-
-def _n_permutations(k) -> int:
-    import math
-
-    out = math.factorial(len(k))
-    counts = {}
-    for x in k:
-        counts[x] = counts.get(x, 0) + 1
-    for c in counts.values():
-        out //= math.factorial(c)
-    return out
-
-
 def criterion_3(ctx: AcceptanceContext) -> list[ClaimResult]:
     """dim-3 totals rebuilt from sorted-type blocks and multiplicities."""
     ref = reference_values()
@@ -177,9 +148,11 @@ def criterion_3(ctx: AcceptanceContext) -> list[ClaimResult]:
         n = m - 1
         total = 0
         nonzero = []
-        for ktype in _sorted_types(n_triangle_entries(n), 3):
+        for ktype in multidegrees(n_triangle_entries(n), 3):
+            if list(ktype) != sorted(ktype, reverse=True):
+                continue  # one non-increasing representative per type
             dim = block_dimension(n, ktype, 3, Q, config=cfg).dimension
-            part = dim * _n_permutations(ktype)
+            part = dim * _multinomial(list(Counter(ktype).values()))
             total += part
             if part:
                 nonzero.append(part)
@@ -284,16 +257,7 @@ def _mutated_exterior(x, i, y):
     """The insertion sign dropped entirely: parallel associativity breaks."""
     if not 1 <= i <= x.arity:
         raise BadPosition(f"position {i} not in 1..{x.arity}")
-    m, n = x.arity, y.arity
-    out = {}
-    for wx, cx in x.terms.items():
-        for wy, cy in y.terms.items():
-            canon = sort_with_sign(wx + wy)
-            if canon is None:
-                continue
-            word, s = canon
-            _merge_terms(out, [(word, s * cx * cy)])
-    return SignedWordElement(m + n - 1, out)
+    return exterior_circ(x, x.arity, y)  # the last slot carries sign +1
 
 
 MUTATED_EXTERIOR_MODEL = OperadModel(

@@ -11,7 +11,7 @@ by exact element equality.
 from __future__ import annotations
 
 import random
-from .classical import LawFailure, LawReport, OperadModel, _random_coeff, check_operad_axioms
+from .classical import LawReport, OperadModel, check_operad_axioms, random_terms
 from .errors import BadPosition, ShapeMismatch
 from .tensor import RectElement, RectMonomial, _merge_terms
 
@@ -84,38 +84,31 @@ def transpose(a: RectElement) -> RectElement:
 def random_rect_element(
     rng: random.Random, rows: int, cols: int, d: int = 3
 ) -> RectElement:
-    terms: dict[RectMonomial, int] = {}
-    for _ in range(rng.randint(1, 3)):
-        m = RectMonomial(
-            rows, cols, tuple(rng.randint(1, d) for _ in range(rows * cols))
-        )
-        c = terms.get(m, 0) + _random_coeff(rng)
-        if c:
-            terms[m] = c
-        else:
-            terms.pop(m, None)
-    return RectElement(rows, cols, terms)
+    def draw() -> RectMonomial:
+        return RectMonomial(rows, cols, tuple(rng.randint(1, d) for _ in range(rows * cols)))
+
+    return RectElement(rows, cols, random_terms(rng, draw))
 
 
-def _row_operad_model(cols: int, max_arity: int = 4) -> OperadModel:
+def _row_operad_model(cols: int) -> OperadModel:
     """The fixed-column-count operad (B(., n), row insertion)."""
     return OperadModel(
         name=f"rows@cols={cols}",
         compose=row_compose,
         unit=lambda: RectElement.unit(0, cols),
         sample=lambda rng, arity: random_rect_element(rng, arity - 1, cols),
-        max_arity=max_arity,
+        max_arity=4,
     )
 
 
-def _col_operad_model(rows: int, max_arity: int = 4) -> OperadModel:
+def _col_operad_model(rows: int) -> OperadModel:
     """The fixed-row-count operad (B(m, .), column insertion)."""
     return OperadModel(
         name=f"cols@rows={rows}",
         compose=col_compose,
         unit=lambda: RectElement.unit(rows, 0),
         sample=lambda rng, arity: random_rect_element(rng, rows, arity - 1),
-        max_arity=max_arity,
+        max_arity=4,
     )
 
 
@@ -159,20 +152,11 @@ def check_bioperad_laws(
         # (A o_i C) .bullet_j (B o_i D) == (A .bullet_j B) o_i (C .bullet_j D)
         lhs = col_compose(row_compose_fn(a, i, c), j, row_compose_fn(b, i, dd))
         rhs = row_compose_fn(col_compose(a, j, b), i, col_compose(c, j, dd))
-        rep.checked += 1
-        if lhs != rhs:
-            rep.failures.append(
-                LawFailure("interchange", f"i={i}, j={j}", (m, n, p, q))
-            )
+        rep.check("interchange", lhs == rhs, f"i={i}, j={j}", (m, n, p, q))
 
         # transpose involution and exchange
-        rep.checked += 2
-        if transpose_fn(transpose_fn(a)) != a:
-            rep.failures.append(LawFailure("transpose-involution", "", (m, n)))
-        if transpose_fn(row_compose_fn(a, i, c)) != col_compose(
-            transpose_fn(a), i, transpose_fn(c)
-        ):
-            rep.failures.append(
-                LawFailure("transpose-exchange", f"i={i}", (m, n, p))
-            )
+        rep.check("transpose-involution", transpose_fn(transpose_fn(a)) == a, "", (m, n))
+        lhs = transpose_fn(row_compose_fn(a, i, c))
+        rhs = col_compose(transpose_fn(a), i, transpose_fn(c))
+        rep.check("transpose-exchange", lhs == rhs, f"i={i}", (m, n, p))
     return rep

@@ -5,13 +5,16 @@ the cache root (argument > GSC_CACHE_DIR > ./.gsc-cache), holding
 ``report.json`` and optionally ``echelon.json`` + ``echelon.mtx`` (the
 sparse-matrix text format).  Writes are atomic (temp file + rename), so
 concurrent insert-if-absent from several processes is safe: last writer
-wins with identical content.
+wins with identical content.  A missing entry is a silent miss; an entry
+that is present but unreadable or invalid is ignored with one line on
+stderr naming it and the reason, and the block is recomputed.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -44,6 +47,11 @@ def _key_dir(root: Path, d: int, n: int, k, field: FieldSpec) -> Path:
     return root / f"v{SCHEMA_VERSION}" / f"d{d}" / f"n{n}" / f"k{ktag}" / ftag
 
 
+def warn_ignored(what: Path, reason: str) -> None:
+    """Say on stderr which cached entry is not used and why."""
+    print(f"ignoring cached {what}: {reason}; recomputing", file=sys.stderr)
+
+
 def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
@@ -63,22 +71,27 @@ class BlockCache:
     def __init__(self, root: str | os.PathLike | None = None):
         self.root = resolve_cache_dir(root)
 
+    def report_path(self, d, n, k, field) -> Path:
+        return _key_dir(self.root, d, n, k, field) / "report.json"
+
     def load_report(self, d, n, k, field) -> dict | None:
-        path = _key_dir(self.root, d, n, k, field) / "report.json"
+        path = self.report_path(d, n, k, field)
         if not path.exists():
             return None
         try:
             obj = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            warn_ignored(path, f"unreadable ({type(exc).__name__}: {exc})")
             return None
         if not isinstance(obj, dict) or obj.get("schema") != SCHEMA_VERSION:
+            warn_ignored(path, f"not a schema-{SCHEMA_VERSION} report")
             return None
         return obj
 
     def store_report(self, d, n, k, field, report: dict) -> None:
         report = dict(report)
         report["schema"] = SCHEMA_VERSION
-        path = _key_dir(self.root, d, n, k, field) / "report.json"
+        path = self.report_path(d, n, k, field)
         _atomic_write(path, json.dumps(report, sort_keys=True, indent=1) + "\n")
 
     def load_echelon(self, d, n, k, field) -> EchelonForm | None:
@@ -86,8 +99,8 @@ class BlockCache:
 
         Files that do not hold an echelon form of this block (another
         field or width, a row count that is not the pivot count, pivots
-        out of order, a row that does not begin at its pivot) are a miss,
-        so the block is eliminated again.
+        out of order, a row that does not begin at its pivot) are ignored
+        with a message, so the block is eliminated again.
         """
         base = _key_dir(self.root, d, n, k, field)
         meta_path = base / "echelon.json"
@@ -99,7 +112,8 @@ class BlockCache:
             matrix = read_matrix_text(mtx_path.read_text())
             pivots = tuple(meta["pivot_cols"])
             schema = meta["schema"]
-        except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError, ShapeMismatch):
+        except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError, ShapeMismatch) as exc:
+            warn_ignored(mtx_path, f"unreadable ({type(exc).__name__}: {exc})")
             return None
         if not (
             schema == SCHEMA_VERSION
@@ -110,6 +124,7 @@ class BlockCache:
             and all(a < b for a, b in zip(pivots, pivots[1:]))
             and all(row and row[0][0] == c for c, row in zip(pivots, matrix.rows))
         ):
+            warn_ignored(mtx_path, f"not an echelon form of this block over {field}")
             return None
         return EchelonForm(
             n_cols=matrix.n_cols,

@@ -6,9 +6,10 @@ first; the symmetric and exterior variants canonicalize the word by
 sorting, with sign +1 respectively the sign of the sorting permutation
 (and repeated letters killed).
 
-Also home to the randomized law checker reused by the bioperad and
-diamond modules: it samples small elements, evaluates both sides of
-each axiom exactly, and reports the smallest counterexample found.
+Also home to the randomized law checker whose sampler (random_terms)
+and recorder (LawReport.check) the bioperad and diamond modules reuse:
+it samples small elements, evaluates both sides of each axiom exactly,
+and reports the smallest counterexample found.
 """
 
 from __future__ import annotations
@@ -24,9 +25,18 @@ Word = tuple[int, ...]
 
 
 class WordElement(_Element):
-    """Sparse combination of length-(arity-1) index words."""
+    """Sparse combination of length-(arity-1) index words.
+
+    Each stored word is its own canonical form under :meth:`canonical`;
+    for plain tensor words every word is.
+    """
 
     __slots__ = ("arity",)
+
+    @staticmethod
+    def canonical(w: Word) -> tuple[Word, int] | None:
+        """The canonical word and sign of a tensor word; None if it vanishes."""
+        return w, 1
 
     def __init__(self, arity: int, terms=None):
         self.arity = arity
@@ -34,21 +44,34 @@ class WordElement(_Element):
         for w in self.terms:
             if len(w) != arity - 1:
                 raise ShapeMismatch(f"word {w} in arity-{arity} element")
+            if self.canonical(w) != (w, 1):
+                raise ShapeMismatch(f"word {w} not canonical for {type(self).__name__}")
 
     def _shape(self):
         return self.arity
 
     def _like(self, terms):
-        return WordElement(self.arity, terms)
+        return type(self)(self.arity, terms)
 
     @staticmethod
     def word(w: Sequence[int], coeff=1) -> "WordElement":
         w = tuple(w)
         return WordElement(len(w) + 1, {w: coeff})
 
-    @staticmethod
-    def unit() -> "WordElement":
-        return WordElement(1, {(): 1})
+    @classmethod
+    def unit(cls) -> "WordElement":
+        return cls(1, {(): 1})
+
+    @classmethod
+    def canonicalize(cls, x: "WordElement") -> "WordElement":
+        """The image of a tensor-word element: each word canonicalized."""
+        out: dict[Word, object] = {}
+        for w, c in x.terms.items():
+            canon = cls.canonical(w)
+            if canon is not None:
+                word, sign = canon
+                _merge_terms(out, [(word, sign * c)])
+        return cls(x.arity, out)
 
 
 def tensor_circ(x: WordElement, i: int, y: WordElement) -> WordElement:
@@ -78,72 +101,21 @@ def sort_with_sign(w: Word) -> tuple[Word, int] | None:
     return tuple(w), sign
 
 
-class SignedWordElement(_Element):
+class SignedWordElement(WordElement):
     """Wedge monomials in canonical strictly-increasing form."""
 
-    __slots__ = ("arity",)
-
-    def __init__(self, arity: int, terms=None):
-        self.arity = arity
-        super().__init__(terms)
-        for w in self.terms:
-            if len(w) != arity - 1:
-                raise ShapeMismatch(f"word {w} in arity-{arity} element")
-            if any(w[t] >= w[t + 1] for t in range(len(w) - 1)):
-                raise ShapeMismatch(f"wedge word {w} not strictly increasing")
-
-    def _shape(self):
-        return self.arity
-
-    def _like(self, terms):
-        return SignedWordElement(self.arity, terms)
-
-    @staticmethod
-    def unit() -> "SignedWordElement":
-        return SignedWordElement(1, {(): 1})
-
-    @staticmethod
-    def canonicalize(x: WordElement) -> "SignedWordElement":
-        out: dict[Word, object] = {}
-        for w, c in x.terms.items():
-            canon = sort_with_sign(w)
-            if canon is None:
-                continue
-            word, sign = canon
-            _merge_terms(out, [(word, sign * c)])
-        return SignedWordElement(x.arity, out)
+    __slots__ = ()
+    canonical = staticmethod(sort_with_sign)
 
 
-class SortedWordElement(_Element):
+class SortedWordElement(WordElement):
     """Sorted-with-repeats words: the commutative-product model."""
 
-    __slots__ = ("arity",)
-
-    def __init__(self, arity: int, terms=None):
-        self.arity = arity
-        super().__init__(terms)
-        for w in self.terms:
-            if len(w) != arity - 1:
-                raise ShapeMismatch(f"word {w} in arity-{arity} element")
-            if any(w[t] > w[t + 1] for t in range(len(w) - 1)):
-                raise ShapeMismatch(f"word {w} not sorted")
-
-    def _shape(self):
-        return self.arity
-
-    def _like(self, terms):
-        return SortedWordElement(self.arity, terms)
+    __slots__ = ()
 
     @staticmethod
-    def unit() -> "SortedWordElement":
-        return SortedWordElement(1, {(): 1})
-
-    @staticmethod
-    def canonicalize(x: WordElement) -> "SortedWordElement":
-        out: dict[Word, object] = {}
-        for w, c in x.terms.items():
-            _merge_terms(out, [(tuple(sorted(w)), c)])
-        return SortedWordElement(x.arity, out)
+    def canonical(w: Word) -> tuple[Word, int]:
+        return tuple(sorted(w)), 1
 
 
 def exterior_circ(x: SignedWordElement, i: int, y: SignedWordElement) -> SignedWordElement:
@@ -164,14 +136,8 @@ def exterior_circ(x: SignedWordElement, i: int, y: SignedWordElement) -> SignedW
 
 
 def symmetric_circ(x: SortedWordElement, i: int, y: SortedWordElement) -> SortedWordElement:
-    """The commutative-product insertion: merge-sort the words, sign +1."""
-    if not 1 <= i <= x.arity:
-        raise BadPosition(f"position {i} not in 1..{x.arity}")
-    out: dict[Word, object] = {}
-    for wx, cx in x.terms.items():
-        for wy, cy in y.terms.items():
-            _merge_terms(out, [(tuple(sorted(wx + wy)), cx * cy)])
-    return SortedWordElement(x.arity + y.arity - 1, out)
+    """The commutative-product insertion: the sorted tensor insertion, sign +1."""
+    return SortedWordElement.canonicalize(tensor_circ(x, i, y))
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +173,12 @@ class LawReport:
     def passed(self) -> bool:
         return not self.failures
 
+    def check(self, law: str, holds: bool, detail: str, arities: tuple[int, ...]) -> None:
+        """Count one check of ``law`` and record a failure unless it holds."""
+        self.checked += 1
+        if not holds:
+            self.failures.append(LawFailure(law, detail, arities))
+
     def witness(self) -> LawFailure | None:
         """The failure with smallest total arity, if any."""
         if not self.failures:
@@ -222,15 +194,19 @@ class LawReport:
         return out
 
 
-def _random_coeff(rng: random.Random) -> int:
-    return rng.choice((-2, -1, 1, 2))
+def random_terms(rng: random.Random, draw: Callable[[], object]) -> dict:
+    """One to three monomials from ``draw()``, each with a coefficient in +-1, +-2.
+
+    Each monomial is drawn before its coefficient; repeats add up.
+    """
+    terms: dict = {}
+    for _ in range(rng.randint(1, 3)):
+        _merge_terms(terms, [(draw(), rng.choice((-2, -1, 1, 2)))])
+    return terms
 
 
 def random_word_element(rng: random.Random, arity: int, d: int = 3) -> WordElement:
-    terms: dict[Word, int] = {}
-    for _ in range(rng.randint(1, 3)):
-        w = tuple(rng.randint(1, d) for _ in range(arity - 1))
-        terms[w] = terms.get(w, 0) + _random_coeff(rng)
+    terms = random_terms(rng, lambda: tuple(rng.randint(1, d) for _ in range(arity - 1)))
     return WordElement(arity, terms)
 
 
@@ -290,28 +266,17 @@ def check_operad_axioms(model: OperadModel, trials: int, seed: int) -> LawReport
             i = rng.randint(1, j - 1)
             lhs = compose(compose(x, j, z), i, y)
             rhs = compose(compose(x, i, y), n + j - 1, z)
-            rep.checked += 1
-            if lhs != rhs:
-                rep.failures.append(
-                    LawFailure("parallel-associativity", f"i={i}, j={j}", (m, n, p))
-                )
+            rep.check("parallel-associativity", lhs == rhs, f"i={i}, j={j}", (m, n, p))
 
         # (x o_i y) o_{i+j-1} z == x o_i (y o_j z)   for 1<=i<=m, 1<=j<=n
         i = rng.randint(1, m)
         j = rng.randint(1, n)
         lhs = compose(compose(x, i, y), i + j - 1, z)
         rhs = compose(x, i, compose(y, j, z))
-        rep.checked += 1
-        if lhs != rhs:
-            rep.failures.append(
-                LawFailure("nested-associativity", f"i={i}, j={j}", (m, n, p))
-            )
+        rep.check("nested-associativity", lhs == rhs, f"i={i}, j={j}", (m, n, p))
 
         # unit laws
         i = rng.randint(1, m)
-        rep.checked += 2
-        if compose(x, i, unit) != x:
-            rep.failures.append(LawFailure("right-unit", f"i={i}", (m,)))
-        if compose(unit, 1, x) != x:
-            rep.failures.append(LawFailure("left-unit", "", (m,)))
+        rep.check("right-unit", compose(x, i, unit) == x, f"i={i}", (m,))
+        rep.check("left-unit", compose(unit, 1, x) == x, "", (m,))
     return rep

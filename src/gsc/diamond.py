@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from .bioperad import random_rect_element, row_compose, col_compose, transpose
-from .classical import LawFailure, LawReport, _random_coeff
+from .classical import LawReport, random_terms
 from .errors import BadPosition, ShapeMismatch
 from .tensor import (
     RectElement,
@@ -95,16 +95,12 @@ def generator_element() -> TriElement:
 def random_tri_element(
     rng: random.Random, size: int, d: int = 3
 ) -> TriElement:
-    terms: dict[TriMonomial, int] = {}
     n_pos = size * (size - 1) // 2
-    for _ in range(rng.randint(1, 3)):
-        m = TriMonomial(size, tuple(rng.randint(1, d) for _ in range(n_pos)))
-        c = terms.get(m, 0) + _random_coeff(rng)
-        if c:
-            terms[m] = c
-        else:
-            terms.pop(m, None)
-    return TriElement(size, terms)
+
+    def draw() -> TriMonomial:
+        return TriMonomial(size, tuple(rng.randint(1, d) for _ in range(n_pos)))
+
+    return TriElement(size, random_terms(rng, draw))
 
 
 def check_gsc_axioms(
@@ -147,27 +143,18 @@ def check_gsc_axioms(
             i = rng.randint(1, j - 1)
             lhs = diamond(diamond(x, j, z, b), i, y, row_compose(a, j, transpose_fn(c)))
             rhs = diamond(diamond(x, i, y, a), j + n - 1, z, row_compose(b, i, c))
-            rep.checked += 1
-            if lhs != rhs:
-                rep.failures.append(
-                    LawFailure("coherence-I", f"i={i}, j={j}", (m, n, p))
-                )
+            rep.check("coherence-I", lhs == rhs, f"i={i}, j={j}", (m, n, p))
 
         i = rng.randint(1, m)
         j = rng.randint(1, n)
         lhs = diamond(diamond(x, i, y, a), j + i - 1, z, row_compose(b, i, c))
         rhs = diamond(x, i, diamond(y, j, z, c), col_compose(a, j, b))
-        rep.checked += 1
-        if lhs != rhs:
-            rep.failures.append(
-                LawFailure("coherence-II", f"i={i}, j={j}", (m, n, p))
-            )
+        rep.check("coherence-II", lhs == rhs, f"i={i}, j={j}", (m, n, p))
 
         # unit laws: x <>_i 1 with the tall empty grid, 1 <>_1 x with the wide one
         i = rng.randint(1, m)
-        rep.checked += 2
-        if diamond(x, i, unit_element(), RectElement.unit(m - 1, 0)) != x:
-            rep.failures.append(LawFailure("right-unit", f"i={i}", (m,)))
-        if diamond(unit_element(), 1, x, RectElement.unit(0, m - 1)) != x:
-            rep.failures.append(LawFailure("left-unit", "", (m,)))
+        right = diamond(x, i, unit_element(), RectElement.unit(m - 1, 0))
+        rep.check("right-unit", right == x, f"i={i}", (m,))
+        left = diamond(unit_element(), 1, x, RectElement.unit(0, m - 1))
+        rep.check("left-unit", left == x, "", (m,))
     return rep

@@ -14,7 +14,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .cache import BlockCache
+from .cache import BlockCache, warn_ignored
 from .errors import ResourceLimit, ShapeMismatch
 from .fields import FieldSpec
 from .relations import assemble_relation_block, block_rows
@@ -111,21 +111,28 @@ def block_pruned(n: int, k: MultiDegree) -> bool:
     return n >= 3 and max(k) >= n if k else False
 
 
-def _cached_report(obj, d, n, k, field, n_monomials) -> BlockReport | None:
-    """The cached report ``obj`` if it is whole and is this block's.
+def _cached_report(cache: BlockCache, d, n, k, field, n_monomials) -> BlockReport | None:
+    """The block's cached report if there is one, it is whole and it is this block's.
 
     A report that lacks a key, belongs to another block or field, or
-    whose dimension is not its monomial count minus its rank is a miss,
-    so the block is computed again.
+    whose dimension is not its monomial count minus its rank is ignored
+    with a message, so the block is computed again.
     """
+    obj = cache.load_report(d, n, k, field)
     if obj is None:
         return None
     try:
         rep = BlockReport.from_json(obj)
-        fits = (rep.d, rep.n, rep.k, rep.field, rep.n_monomials) == (d, n, k, field, n_monomials)
-        return rep if fits and rep.dimension == n_monomials - rep.rank else None
-    except (AttributeError, KeyError, TypeError, ValueError):
-        return None
+        if (rep.d, rep.n, rep.k, rep.field, rep.n_monomials) != (d, n, k, field, n_monomials):
+            reason = "the report of another block or field"
+        elif rep.dimension != n_monomials - rep.rank:
+            reason = "dimension is not monomials minus rank"
+        else:
+            return rep
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        reason = f"malformed report ({type(exc).__name__}: {exc})"
+    warn_ignored(cache.report_path(d, n, k, field), reason)
+    return None
 
 
 def block_dimension(
@@ -154,7 +161,7 @@ def block_dimension(
         return hit
     cache = cfg.cache()
     if shortcut:
-        rep = _cached_report(cache.load_report(d, n, k, field), d, n, k, field, n_monomials)
+        rep = _cached_report(cache, d, n, k, field, n_monomials)
         if rep is not None:
             _MEM_CACHE.setdefault(key, rep)
             return rep

@@ -96,6 +96,7 @@ def test_output_shapes():
 def test_law_suite_500_trials():
     rep = check_bioperad_laws(500, 42)
     assert rep.passed, rep.summary()
+    assert rep.checked == 5218  # pins the sampling order
 
 
 def test_degenerate_shapes_hold_vacuously():

@@ -19,9 +19,10 @@ def test_resolution_order(tmp_path, monkeypatch):
     assert str(resolve_cache_dir()) == ".gsc-cache"
 
 
-def test_report_round_trip(tmp_path):
+def test_report_round_trip(tmp_path, capsys):
     cache = BlockCache(tmp_path)
     assert cache.load_report(2, 3, (2, 1), Q) is None
+    assert capsys.readouterr().err == ""  # a missing entry is a silent miss
     cache.store_report(2, 3, (2, 1), Q, {"dimension": 2})
     obj = cache.load_report(2, 3, (2, 1), Q)
     assert obj["dimension"] == 2
@@ -62,7 +63,14 @@ def test_concurrent_insert_if_absent(tmp_path):
     assert results == [1] * 8
 
 
-def test_corrupt_cache_file_ignored(tmp_path):
+def _ignored_lines(capsys, path):
+    """The stderr lines saying a cached file was ignored; each names ``path``."""
+    lines = capsys.readouterr().err.splitlines()
+    assert lines and all(line.startswith(f"ignoring cached {path}: ") for line in lines)
+    return lines
+
+
+def test_corrupt_cache_file_ignored(tmp_path, capsys):
     clear_memory_cache()
     cfg = QuotientConfig(cache_dir=tmp_path / "c")
     rep = block_dimension(3, (2, 1), 2, Q, config=cfg)
@@ -73,6 +81,24 @@ def test_corrupt_cache_file_ignored(tmp_path):
     clear_memory_cache()
     rep2 = block_dimension(3, (2, 1), 2, Q, config=cfg)
     assert rep2.dimension == rep.dimension
+    assert _ignored_lines(capsys, files[0]) == [
+        f"ignoring cached {files[0]}: unreadable (JSONDecodeError: Expecting property name "
+        "enclosed in double quotes: line 1 column 2 (char 1)); recomputing"
+    ]
+
+
+def test_non_utf8_report_is_a_miss(tmp_path, capsys):
+    clear_memory_cache()
+    cfg = QuotientConfig(cache_dir=tmp_path)
+    rep = block_dimension(4, (3, 3), 2, Q, config=cfg)
+    path = _block_files(tmp_path, "report.json")
+    path.write_bytes(b"\xff\xfe")
+    clear_memory_cache()
+    again = block_dimension(4, (3, 3), 2, Q, config=cfg)
+    assert {**again.to_json(), "millis": 0} == {**rep.to_json(), "millis": 0}
+    (line,) = _ignored_lines(capsys, path)
+    assert "UnicodeDecodeError" in line
+    assert json.loads(path.read_text())["rank"] == rep.rank
 
 
 @pytest.mark.parametrize("schema", [1, 2])
@@ -101,7 +127,7 @@ def _block_files(root, name):
     return files[0]
 
 
-def test_echelon_with_cut_pivots_is_recomputed(tmp_path):
+def test_echelon_with_cut_pivots_is_recomputed(tmp_path, capsys):
     # echelon.json with 5 pivot columns cut no longer has one pivot per
     # row, so reduce_vector would pair rows with the wrong pivots
     clear_memory_cache()
@@ -112,9 +138,14 @@ def test_echelon_with_cut_pivots_is_recomputed(tmp_path):
     meta["pivot_cols"] = meta["pivot_cols"][:-5]
     meta_path.write_text(json.dumps(meta))
     assert BlockCache(tmp_path).load_echelon(3, 4, (2, 2, 2), Q) is None
+    mtx_path = meta_path.with_name("echelon.mtx")
+    assert _ignored_lines(capsys, mtx_path) == [
+        f"ignoring cached {mtx_path}: not an echelon form of this block over Q; recomputing"
+    ]
     clear_memory_cache()
     again = block_echelon(4, (2, 2, 2), 3, Q, config=cfg)
     assert again == ech
+    _ignored_lines(capsys, mtx_path)
     # the recomputed echelon replaced the corrupt files
     assert BlockCache(tmp_path).load_echelon(3, 4, (2, 2, 2), Q) == ech
 
@@ -131,23 +162,28 @@ def _corrupt(ech, how):
 
 
 @pytest.mark.parametrize("how", ["width", "pivot order", "row start"])
-def test_inconsistent_echelon_is_a_miss(tmp_path, how):
+def test_inconsistent_echelon_is_a_miss(tmp_path, how, capsys):
     clear_memory_cache()
     ech = block_echelon(4, (3, 2, 1), 3, Q, config=QuotientConfig(cache_dir=tmp_path / "ok"))
     cache = BlockCache(tmp_path)
     cache.store_echelon(3, 4, (3, 2, 1), Q, ech)
     assert cache.load_echelon(3, 4, (3, 2, 1), Q) == ech
+    assert capsys.readouterr().err == ""
     cache.store_echelon(3, 4, (3, 2, 1), Q, _corrupt(ech, how))
     assert cache.load_echelon(3, 4, (3, 2, 1), Q) is None
+    mtx_path = cache.report_path(3, 4, (3, 2, 1), Q).with_name("echelon.mtx")
+    (line,) = _ignored_lines(capsys, mtx_path)
+    assert line.endswith(": not an echelon form of this block over Q; recomputing")
 
 
-def test_echelon_of_another_field_is_a_miss(tmp_path):
+def test_echelon_of_another_field_is_a_miss(tmp_path, capsys):
     clear_memory_cache()
     ech = block_echelon(4, (3, 2, 1), 3, Q, config=QuotientConfig(cache_dir=tmp_path / "ok"))
     cache = BlockCache(tmp_path)
     gfp = FieldSpec.prime(1_000_003)
     cache.store_echelon(3, 4, (3, 2, 1), gfp, ech)
     assert cache.load_echelon(3, 4, (3, 2, 1), gfp) is None
+    _ignored_lines(capsys, cache.report_path(3, 4, (3, 2, 1), gfp).with_name("echelon.mtx"))
 
 
 @pytest.mark.parametrize(
@@ -162,7 +198,7 @@ def test_echelon_of_another_field_is_a_miss(tmp_path):
     ],
     ids=str,
 )
-def test_incomplete_or_inconsistent_report_is_recomputed(tmp_path, edit):
+def test_incomplete_or_inconsistent_report_is_recomputed(tmp_path, edit, capsys):
     clear_memory_cache()
     cfg = QuotientConfig(cache_dir=tmp_path)
     rep = block_dimension(4, (3, 3), 2, Q, config=cfg)
@@ -178,5 +214,6 @@ def test_incomplete_or_inconsistent_report_is_recomputed(tmp_path, edit):
     clear_memory_cache()
     again = block_dimension(4, (3, 3), 2, Q, config=cfg)
     assert {**again.to_json(), "millis": 0} == {**rep.to_json(), "millis": 0}
+    assert len(_ignored_lines(capsys, path)) == 1
     # the recomputed report replaced the corrupt one
     assert json.loads(path.read_text())["rank"] == rep.rank
