@@ -39,6 +39,7 @@ from .tensor import (
     n_triangle_entries,
     rank_words_in_block,
     triangle_positions,
+    word_array,
 )
 
 Row = tuple[int, ...]  # sorted column indices, all coefficients 1
@@ -153,7 +154,7 @@ def iter_block_relations(
     for occ in _occupant_multisets(d):
         remaining = _fill_counts(k, occ)
         if remaining is not None:
-            fills[occ] = np.array(list(_words_with_counts(remaining)), dtype=np.int64)
+            fills[occ] = word_array(remaining)
     for i, j, kk in combinations(range(1, size + 1), 3):
         slots = [_triangle_offset(size, *p) for p in ((i, j), (i, kk), (j, kk))]
         rest = [t for t in range(n_pos) if t not in slots]

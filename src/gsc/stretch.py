@@ -137,21 +137,47 @@ class _SignedUnionFind:
             self.scale[r1] = -v2 * pow(v1, p - 2, p) % p
         self.merges += 1
 
+    # The two reducers read a column's class in at most two list reads: a
+    # root is its own class with scale 1 (a root's scale is never
+    # rewritten), and a column whose parent is a root already holds its
+    # scale relative to that root, exactly what find would write back.
+    # Only a deeper chain pays for find and its compression.
+
     def reduce_row_items(self, items) -> list[tuple[int, object]]:
         """Map (column, coeff) pairs through classes; drop dead, combine."""
-        p = self.p
+        p, parent, scale, dead, find = self.p, self.parent, self.scale, self.dead, self.find
         acc: dict[int, object] = {}
         for c, coeff in items:
-            root, s = self.find(c)
-            if self.dead[root]:
+            root = parent[c]
+            if root == c:
+                s = 1
+            elif parent[root] == root:
+                s = scale[c]
+            else:
+                root, s = find(c)
+            if dead[root]:
                 continue
             v = acc.get(root, 0) + coeff * s
             acc[root] = v if p is None else v % p
-        return sorted((r, v) for r, v in acc.items() if v)
+        return [t for t in sorted(acc.items()) if t[1]]
 
     def reduce_row(self, cols) -> list[tuple[int, object]]:
         """Unit-coefficient column tuple, mapped through the classes."""
-        return self.reduce_row_items((c, 1) for c in cols)
+        p, parent, scale, dead, find = self.p, self.parent, self.scale, self.dead, self.find
+        acc: dict[int, object] = {}
+        for c in cols:
+            root = parent[c]
+            if root == c:
+                s = 1
+            elif parent[root] == root:
+                s = scale[c]
+            else:
+                root, s = find(c)
+            if dead[root]:
+                continue
+            v = acc.get(root, 0) + s
+            acc[root] = v if p is None else v % p
+        return [t for t in sorted(acc.items()) if t[1]]
 
     def absorb(self, items) -> bool:
         """Use a reduced row as a unit/binomial pivot if short enough.
@@ -159,16 +185,33 @@ class _SignedUnionFind:
         Returns True if consumed (length 0, 1 or 2), False if it belongs
         in the core.
         """
-        if not items:
-            return True
-        if len(items) == 1:
-            self.kill(items[0][0])
-            return True
-        if len(items) == 2:
+        n = len(items)
+        if n == 2:
             (r1, v1), (r2, v2) = items
             self.merge(r1, v1, r2, v2)
-            return True
-        return False
+        elif n == 1:
+            self.kill(items[0][0])
+        return n <= 2
+
+    def sweep(self, rows, reduce, progress=None) -> tuple[set, int]:
+        """Reduce each row with ``reduce`` and absorb it, or stash it.
+
+        Returns the stashed rows and the number of rows read; with
+        ``progress`` a line is reported every million rows.
+        """
+        stash: set = set()
+        absorb, stash_add = self.absorb, stash.add
+        count = 0
+        for count, row in enumerate(rows, 1):
+            items = reduce(row)
+            if not absorb(items):
+                stash_add(tuple(items))
+            if progress and not count % 1_000_000:
+                progress(
+                    f"stream: {count} rows, merges {self.merges}, "
+                    f"deaths {self.deaths}, stash {len(stash)}"
+                )
+        return stash, count
 
 
 @dataclass
@@ -205,12 +248,30 @@ def _save(state: StretchState, cache_dir) -> None:
     tmp.replace(path)
 
 
+def _state_problem(state, block: StretchBlock, p: int | None) -> str | None:
+    """Why a loaded state cannot be resumed for this run, or None."""
+    schema = getattr(state, "schema", None)
+    if not isinstance(state, StretchState) or schema != CHECKPOINT_SCHEMA:
+        return f"saved under checkpoint schema {schema}, not {CHECKPOINT_SCHEMA}"
+    if (state.block, state.p) != (block, p):
+        return "saved for another block or field"
+    uf = state.uf
+    if not len(uf.parent) == len(uf.scale) == len(uf.dead) == block.columns():
+        return "union-find does not span the block's columns"
+    if state.phase not in ("peel", "done"):
+        return f"unknown phase {state.phase!r}"
+    if not isinstance(state.stash, list):
+        return "stash is not a list"
+    return None
+
+
 def _load(cache_dir, block: StretchBlock, p: int | None, progress=None) -> StretchState | None:
     """The saved state for this run, or None to start fresh.
 
     A truncated or corrupt file, or one saved under another checkpoint
     schema or for another block or field, is ignored, with a message
-    through ``progress``.
+    through ``progress``.  So is a state whose union-find does not span
+    the block's columns or whose phase is not one a run saves.
     """
     path = _checkpoint_path(cache_dir, block, p)
     if not path.exists():
@@ -218,16 +279,11 @@ def _load(cache_dir, block: StretchBlock, p: int | None, progress=None) -> Stret
     try:
         with open(path, "rb") as fh:
             state = pickle.load(fh)
-    except (EOFError, pickle.UnpicklingError) as exc:
-        problem = f"unreadable ({exc})"
-    else:
-        schema = getattr(state, "schema", None)
-        if not isinstance(state, StretchState) or schema != CHECKPOINT_SCHEMA:
-            problem = f"saved under checkpoint schema {schema}, not {CHECKPOINT_SCHEMA}"
-        elif (state.block, state.p) == (block, p):
-            return state
-        else:
-            problem = "saved for another block or field"
+        problem = _state_problem(state, block, p)
+    except Exception as exc:  # a corrupt pickle can raise almost anything
+        problem = f"unreadable ({type(exc).__name__}: {exc})"
+    if problem is None:
+        return state
     if progress:
         progress(f"ignoring checkpoint {path.name}: {problem}; starting fresh")
     return None
@@ -296,18 +352,8 @@ def stretch_rank(
     else:
         # One pass over every relation row; short rows peel immediately.
         uf = _SignedUnionFind(p, block.columns())
-        stash_set = set()
-        count = 0
-        for cols in iter_block_relations(block.n, block.k, block.d):
-            count += 1
-            items = uf.reduce_row(cols)
-            if not uf.absorb(items):
-                stash_set.add(tuple(items))
-            if progress and count % 1_000_000 == 0:
-                progress(
-                    f"stream: {count} rows, merges {uf.merges}, "
-                    f"deaths {uf.deaths}, stash {len(stash_set)}"
-                )
+        rows = iter_block_relations(block.n, block.k, block.d)
+        stash_set, count = uf.sweep(rows, uf.reduce_row, progress)
         state = StretchState(CHECKPOINT_SCHEMA, p, block, "peel", uf, sorted(stash_set))
         _save(state, cache_dir)
         if progress:
@@ -325,11 +371,7 @@ def stretch_rank(
         while True:
             sweep += 1
             before = uf.merges + uf.deaths
-            stash_set = set()
-            for items in state.stash:
-                reduced = uf.reduce_row_items(items)
-                if not uf.absorb(reduced):
-                    stash_set.add(tuple(reduced))
+            stash_set, _ = uf.sweep(state.stash, uf.reduce_row_items)
             state.stash = sorted(stash_set)
             changed = uf.merges + uf.deaths - before
             if progress:

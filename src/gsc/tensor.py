@@ -304,7 +304,11 @@ def count_block_monomials(size: int, k: MultiDegree) -> int:
 
 
 def _words_with_counts(counts: list[int]) -> Iterator[tuple[int, ...]]:
-    """All words with the given letter counts, in lexicographic order."""
+    """All words with the given letter counts, in lexicographic order.
+
+    One tuple at a time: the route of the reference relation model, kept
+    apart from :func:`word_array`, which the row generator uses.
+    """
     total = sum(counts)
     if total == 0:
         yield ()
@@ -326,10 +330,41 @@ def _words_with_counts(counts: list[int]) -> Iterator[tuple[int, ...]]:
     yield from rec(total)
 
 
+def word_array(counts: Sequence[int]) -> np.ndarray:
+    """:func:`_words_with_counts` as one int64 array, one word per row.
+
+    The words starting with a letter are that letter followed by the
+    words of the counts left, so each block of rows is built once from
+    the memoized array of the shorter words.
+    """
+    memo: dict[tuple[int, ...], np.ndarray] = {}
+
+    def rec(counts: tuple[int, ...]) -> np.ndarray:
+        if counts in memo:
+            return memo[counts]
+        total = sum(counts)
+        if not total:
+            words = np.zeros((1, 0), dtype=np.int64)
+        else:
+            parts = []
+            for letter, c in enumerate(counts):
+                if c:
+                    rest = rec(counts[:letter] + (c - 1,) + counts[letter + 1:])
+                    part = np.empty((len(rest), total), dtype=np.int64)
+                    part[:, 0] = letter + 1
+                    part[:, 1:] = rest
+                    parts.append(part)
+            words = np.concatenate(parts)
+        memo[counts] = words
+        return words
+
+    return rec(tuple(counts))
+
+
 def enumerate_block_monomials(size: int, k: MultiDegree) -> list[TriMonomial]:
     """All monomials of one multidegree block, in canonical (lex) order."""
     count_block_monomials(size, k)  # validates the degree sum
-    return [TriMonomial(size, w) for w in _words_with_counts(list(k))]
+    return [TriMonomial(size, w) for w in map(tuple, word_array(k).tolist())]
 
 
 def rank_in_block(entries: tuple[int, ...], k: MultiDegree) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 from dataclasses import replace
 from fractions import Fraction
@@ -136,6 +137,56 @@ def test_union_find_scales():
     assert uf.reduce_row((0, 1, 2)) == []
 
 
+def chained_union_find(p):
+    """Uncompressed chains 0 -> 1 -> 2 -> 3 and 4 -> 5, and a dead class 6.
+
+    Column 2 is one step from its root, 1 two steps and 0 three; over Q
+    the scale of 0 is the Fraction -3/2.
+    """
+    uf = _SignedUnionFind(p, 7)
+    unit = (lambda v: v) if p is None else (lambda v: v % p)
+    uf.merge(0, 2, 1, 3)  # x0 = -3/2 x1
+    uf.merge(1, 1, 2, unit(-3))  # x1 = 3 x2
+    uf.merge(2, 1, 3, unit(-5))  # x2 = 5 x3
+    uf.merge(4, 1, 5, 7)  # x4 = -7 x5
+    uf.kill(6)
+    return uf
+
+
+def reduce_by_find(uf, items):
+    """The reducers' reference: a full find for every column."""
+    acc = {}
+    for c, coeff in items:
+        root, s = uf.find(c)
+        if not uf.dead[root]:
+            v = acc.get(root, 0) + coeff * s
+            acc[root] = v if uf.p is None else v % uf.p
+    return sorted((r, v) for r, v in acc.items() if v)
+
+
+@pytest.mark.parametrize("p", [97, None])
+def test_class_lookup_matches_find_on_chains(p):
+    if p is None:
+        assert type(chained_union_find(p).scale[0]) is Fraction
+    # depth-1 columns first, then rows that compress the deeper chains
+    # and meet the compressed columns again
+    rows = [(2,), (2, 3), (4,), (4, 5, 6), (1, 3), (0,), (0, 1, 2, 3), (0, 4, 6), (1, 5), (0, 2)]
+    coeffs = (3, 1, 2, 1, 4, 1)
+    for reducer in ("reduce_row", "reduce_row_items"):
+        got, want = chained_union_find(p), chained_union_find(p)
+        for row in rows:
+            if reducer == "reduce_row":
+                items = [(c, 1) for c in row]
+                out = got.reduce_row(row)
+            else:
+                items = list(zip(row, coeffs))
+                out = got.reduce_row_items(items)
+            assert out == reduce_by_find(want, items), (reducer, row)
+            assert (got.parent, got.scale) == (want.parent, want.scale), (reducer, row)
+    # the chains really were deep: the last find compressed them
+    assert got.parent[:3] == [3, 3, 3]
+
+
 def test_rational_union_find_keeps_int_scales_unless_division_is_inexact(tmp_path):
     uf = _SignedUnionFind(None, 3)
     # 2 x0 + 3 x1 = 0  =>  x0 = -3/2 x1, the one scale that is not an int
@@ -182,14 +233,27 @@ def test_truncated_or_mismatched_checkpoint_starts_fresh(tmp_path):
     other = StretchBlock(n=4, k=(2, 2, 2), d=3)
     stretch_rank(GFP, cache_dir=tmp_path / "other", block=other)
     foreign = _checkpoint_path(tmp_path / "other", other, GFP.p).read_bytes()
-    # a state saved by code with another schema, e.g. another row order
-    state = pickle.loads(path.read_bytes())
-    state.schema = CHECKPOINT_SCHEMA - 1
-    stale = pickle.dumps(state)
+    good = path.read_bytes()
+
+    def edited(edit):
+        state = pickle.loads(good)
+        edit(state)
+        return pickle.dumps(state)
+
     for bad, reason in (
-        (path.read_bytes()[:100], "unreadable"),
+        (good[:100], "unreadable"),
         (foreign, "another block"),
-        (stale, f"schema {CHECKPOINT_SCHEMA - 1}"),
+        # a state saved by code with another schema, e.g. another row order
+        (edited(lambda s: setattr(s, "schema", CHECKPOINT_SCHEMA - 1)), f"schema {CHECKPOINT_SCHEMA - 1}"),
+        # corrupt bytes that pickle itself does not report as such
+        (good.replace(b"StretchState", b"StretchStatf"), "unreadable (AttributeError"),
+        (good.replace(b"gsc.stretch", b"gsc.strftch"), "unreadable (ModuleNotFoundError"),
+        (b"\x80\x05X\x02\x00\x00\x00\xff\xfe.", "unreadable (UnicodeDecodeError"),
+        # well-formed states that no run saves
+        (edited(lambda s: s.uf.parent.pop()), "does not span"),
+        (edited(lambda s: s.uf.dead.append(0)), "does not span"),
+        (edited(lambda s: setattr(s, "phase", "stream")), "unknown phase 'stream'"),
+        (edited(lambda s: delattr(s, "stash")), "no attribute 'stash'"),
     ):
         path.write_bytes(bad)
         messages = []
@@ -201,3 +265,41 @@ def test_truncated_or_mismatched_checkpoint_starts_fresh(tmp_path):
     # without a progress callback the bad file is still ignored
     path.write_bytes(b"")
     assert stretch_rank(GFP, cache_dir=tmp_path, block=block).rank == want.rank
+
+
+def state_digest(state) -> str:
+    uf = state.uf
+    return hashlib.sha256(repr((uf.parent, uf.scale, bytes(uf.dead), state.stash)).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "k, p, stream_end, sweeps, final, core, digest",
+    [
+        # k, p: (rows, merges, deaths, stash) at the end of the stream; the
+        # stash after each peel sweep; final (merges, deaths); core (rows,
+        # rank); a digest of the saved classes and stash
+        ((4, 4, 2), GFP.p, (10500, 1378, 1693, 4122), (224, 80), (1432, 1693), (80, 19), "bdc6e6bc4550520a"),
+        ((4, 4, 2), None, (10500, 1378, 1693, 4122), (224, 80), (1432, 1693), (80, 19), "e194ee821bf0a63f"),
+        ((4, 3, 3), GFP.p, (13300, 1731, 1865, 7159), (2606, 2060), (2090, 1865), (2060, 229), "a8ad88df20827a79"),
+        ((4, 3, 3), None, (13300, 1731, 1865, 7159), (2608, 2060), (2090, 1865), (2060, 229), "5cbe68cc1537d83b"),
+    ],
+)
+def test_peel_counters_are_pinned(tmp_path, k, p, stream_end, sweeps, final, core, digest):
+    # the row order, the stash order and the absorb rule all show in these
+    block = StretchBlock(5, k, 3)
+    field = FieldSpec.rational() if p is None else FieldSpec.prime(p)
+    messages = []
+    rep = stretch_rank(field, cache_dir=tmp_path, block=block, progress=messages.append)
+    rows, merges, deaths, stash = stream_end
+    pivots = sum(final) - merges - deaths
+    assert messages == [
+        f"stream done: {rows} rows, merges {merges}, deaths {deaths}, stash {stash}",
+        f"peel sweep 1: +{pivots} pivots, stash {sweeps[0]}",
+        f"peel sweep 2: +0 pivots, stash {sweeps[1]}",
+        f"core: {core[0]} rows on {rep.n_columns - sum(final)} classes, rank {core[1]}",
+    ]
+    state = pickle.loads(_checkpoint_path(tmp_path, block, p).read_bytes())
+    assert (state.merges, state.deaths) == final
+    assert (rep.core_rows, rep.core_rank) == core
+    assert rep.peel_rank == sum(final) and rep.rank == sum(final) + core[1]
+    assert state_digest(state) == digest

@@ -11,6 +11,7 @@ from gsc.tensor import (
     RectMonomial,
     TriElement,
     TriMonomial,
+    _words_with_counts,
     count_block_monomials,
     element_from_json_text,
     element_to_json_text,
@@ -25,6 +26,7 @@ from gsc.tensor import (
     rank_words_in_block,
     triangle_positions,
     unrank_in_block,
+    word_array,
 )
 
 
@@ -59,6 +61,25 @@ def test_enumeration_is_sorted_and_on_degree():
     monos = enumerate_block_monomials(4, (3, 3))
     assert monos == sorted(monos)
     assert all(multidegree_of(m, 2) == (3, 3) for m in monos)
+
+
+@pytest.mark.parametrize(
+    "counts", [(), (0, 0), (3,), (1, 0, 2), (2, 2, 2), (4, 4, 2), (7, 4, 1)]
+)
+def test_word_array_matches_recursive_words(counts):
+    words = word_array(counts)
+    assert words.dtype == np.int64
+    n_words = math.factorial(sum(counts)) // math.prod(map(math.factorial, counts))
+    assert words.shape == (n_words, sum(counts))
+    assert list(map(tuple, words.tolist())) == list(_words_with_counts(list(counts)))
+
+
+def test_block_monomials_are_the_recursive_words():
+    monos = enumerate_block_monomials(4, (3, 2, 1))
+    assert monos == [TriMonomial(4, w) for w in _words_with_counts([3, 2, 1])]
+    assert len(monos) == 60
+    assert monos[0].entries == (1, 1, 1, 2, 2, 3) and monos[-1].entries == (3, 2, 2, 1, 1, 1)
+    assert all(type(e) is int for m in monos for e in m.entries)
 
 
 def test_block_sizes_partition_full_space():
