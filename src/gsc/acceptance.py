@@ -94,7 +94,6 @@ class AcceptanceContext:
     trials: int = 500
     seed: int = 20240
     include_stretch: bool = False
-    stretch_budget: float | None = None
 
     def config(self, no_shortcut: bool = False) -> QuotientConfig:
         return QuotientConfig(cache_dir=self.cache_dir, no_shortcut=no_shortcut)
@@ -319,7 +318,7 @@ def criterion_8(ctx: AcceptanceContext) -> list[ClaimResult]:
     cfg = ctx.config(no_shortcut=True)
     for d, max_arity in ((1, 4), (2, 5)):
         t0 = time.monotonic()
-        report = saturation_oracle(d, max_arity)
+        report = saturation_oracle(d, max_arity)  # the d = 2 report is reused below
         mismatches = []
         for arity_report in report.arities:
             n = arity_report.arity - 1
@@ -344,7 +343,7 @@ def criterion_8(ctx: AcceptanceContext) -> list[ClaimResult]:
             )
         )
     t0 = time.monotonic()
-    oracle_dim = saturation_oracle(2, 5).arity(5).quotient_dim
+    oracle_dim = report.arity(5).quotient_dim
     model_dim = total_dimension(5, 2, Q, ctx.config()).total
     out.append(
         _claim(8, "arity-5 quotient dimension (dim V=2) by both routes", "(1, 1)", (oracle_dim, model_dim), t0)
@@ -378,7 +377,7 @@ def family_span_mismatches(family, d: int, field: FieldSpec) -> list[tuple]:
     out, split = [], 0
     for k in multidegrees(3, d):
         fam = blocks.get(k, [])
-        model = [dict.fromkeys(row, 1) for row in block_rows(3, k, d, field)]
+        model = [dict.fromkeys(row, 1) for row in block_rows(3, k, d)]
         n_cols = count_block_monomials(3, k)
         ranks = [_rank(rows, n_cols, field) for rows in (fam, model, fam + model)]
         split += ranks[0]
@@ -439,7 +438,12 @@ def criterion_10(ctx: AcceptanceContext) -> list[ClaimResult]:
 
 
 def criterion_11(ctx: AcceptanceContext) -> list[ClaimResult]:
-    """Stretch: the conjecture block.  No expected value is asserted."""
+    """Stretch: the conjecture block.  No expected value is asserted.
+
+    The run over Q comes first and is exact; a run over GF(p) can only
+    lose rank, so each prime's claim fails if its dimension is below
+    the rational one.
+    """
     from .stretch import stretch_column_count, stretch_rank
 
     ref = reference_values()["conjecture_block"]
@@ -450,15 +454,15 @@ def criterion_11(ctx: AcceptanceContext) -> list[ClaimResult]:
     )
     if not ctx.include_stretch:
         return out
+    q_dim = None
     for f in [Q, *map(FieldSpec.prime, MULTI_PRIME_SET)]:
         t0 = time.monotonic()
-        rep = stretch_rank(
-            f, cache_dir=ctx.cache_dir, progress=None, time_budget=ctx.stretch_budget
-        )
+        rep = stretch_rank(f, cache_dir=ctx.cache_dir, progress=None)
+        if f.is_rational:
+            q_dim = rep.dimension
         status = (
             f"dimension {rep.dimension} (rank {rep.rank} = peel {rep.peel_rank} "
-            f"+ core {rep.core_rank}, "
-            f"{'finished' if rep.finished else 'checkpointed'}, {rep.seconds:.0f}s)"
+            f"+ core {rep.core_rank}, {rep.seconds:.0f}s)"
         )
         out.append(
             ClaimResult(
@@ -466,9 +470,9 @@ def criterion_11(ctx: AcceptanceContext) -> list[ClaimResult]:
                 claim=f"conjecture block over {f}; "
                 + ("exact over Q" if f.is_rational else "upper bound on the rational dimension")
                 + ", equals 1 iff the conjecture holds here",
-                expected="(reported, not asserted)",
+                expected="(reported, not asserted)" if f.is_rational else f">= {q_dim}",
                 computed=status,
-                passed=rep.finished,
+                passed=rep.dimension >= q_dim,
                 millis=int((time.monotonic() - t0) * 1000),
             )
         )

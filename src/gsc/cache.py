@@ -100,7 +100,9 @@ class BlockCache:
         Files that do not hold an echelon form of this block (another
         field or width, a row count that is not the pivot count, pivots
         out of order, a row that does not begin at its pivot) are ignored
-        with a message, so the block is eliminated again.
+        with a message, so the block is eliminated again.  Over Q the
+        text reader gives Fractions; integer entries come back as ints,
+        as elimination gives them.
         """
         base = _key_dir(self.root, d, n, k, field)
         meta_path = base / "echelon.json"
@@ -126,12 +128,12 @@ class BlockCache:
         ):
             warn_ignored(mtx_path, f"not an echelon form of this block over {field}")
             return None
-        return EchelonForm(
-            n_cols=matrix.n_cols,
-            field=matrix.field,
-            pivot_cols=pivots,
-            rows=matrix.rows,
-        )
+        rows = matrix.rows
+        if field.is_rational:
+            rows = tuple(
+                tuple((c, int(v) if v.denominator == 1 else v) for c, v in row) for row in rows
+            )
+        return EchelonForm(n_cols=matrix.n_cols, field=field, pivot_cols=pivots, rows=rows)
 
     def store_echelon(self, d, n, k, field, ech: EchelonForm) -> None:
         base = _key_dir(self.root, d, n, k, field)

@@ -145,21 +145,11 @@ def cmd_dims(d, max_arity, field, per_block, no_shortcut, fmt, cache_dir):
 @click.option("--seed", type=int, default=20240, show_default=True)
 @click.option("--trials", type=int, default=500, show_default=True, help="Law-suite trials.")
 @click.option("--stretch", is_flag=True, help="Also run the long conjecture-block computation.")
-@click.option(
-    "--stretch-budget",
-    type=float,
-    default=None,
-    help="Seconds before checkpoint-and-stop; checked after the stream and after each peel sweep.",
-)
 @cache_option
-def cmd_verify_paper(seed, trials, stretch, stretch_budget, cache_dir):
+def cmd_verify_paper(seed, trials, stretch, cache_dir):
     """Recompute every published value over Q and print pass/fail per claim."""
     ctx = AcceptanceContext(
-        cache_dir=cache_dir,
-        trials=trials,
-        seed=seed,
-        include_stretch=stretch,
-        stretch_budget=stretch_budget,
+        cache_dir=cache_dir, trials=trials, seed=seed, include_stretch=stretch
     )
     try:
         results = run_criteria(ctx, reporter=click.echo)

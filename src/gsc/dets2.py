@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 from .errors import ShapeMismatch
@@ -186,14 +187,15 @@ def check_two_alternating(samples: int, seed: int) -> TwoAlternatingReport:
     )
 
 
-def det_s2_functional(field: FieldSpec | None = None) -> LiftedFunctional:
-    """The induced functional on the arity-5 quotient (d = 2).
+@cache
+def det_s2_functional() -> LiftedFunctional:
+    """The induced functional on the arity-5 quotient (d = 2), over Q.
 
     Lifts the monomial restriction through the two-alternating check;
     failure there would indicate a transcription error in the term table.
+    The lift is built once and shared.
     """
-    field = field or FieldSpec.rational()
-    return lift_two_alternating(monomial_functional, 4, 2, field)
+    return lift_two_alternating(monomial_functional, 4, 2, FieldSpec.rational())
 
 
 def induced_map_scalar(t: Sequence[Sequence]) -> object:

@@ -17,10 +17,6 @@ class DegreeMismatch(GscError):
     """A multidegree has the wrong number of letters or the wrong sum."""
 
 
-class CharacteristicUnsupported(GscError):
-    """The requested operation is not valid over characteristic 2 or 3."""
-
-
 class NotTwoAlternating(GscError):
     """A functional fails to annihilate a relation row.
 

@@ -50,12 +50,7 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """The field of scalars: rationals (p is None) or GF(p).
-
-    Primes <= 3 are rejected unless ``allow_small`` is passed to
-    :meth:`prime`; the relation model needs characteristic not 2 or 3,
-    so small primes are opt-in only.
-    """
+    """The field of scalars: rationals (p is None) or GF(p)."""
 
     p: int | None = None
 
@@ -64,20 +59,24 @@ class FieldSpec:
         return FieldSpec(None)
 
     @staticmethod
-    def prime(p: int, allow_small: bool = False) -> "FieldSpec":
+    def prime(p: int) -> "FieldSpec":
+        """GF(p) for a prime p > 3; GF(2) and GF(3) are refused.
+
+        The relation model's rows sum the arrangements of an occupant
+        multiset with coefficient 1; the row of a multiset with a
+        repeated letter is a generator divided by 2 or 6, so the model
+        spans the ideal only where 2 and 3 are invertible.  This is the
+        one place that refuses characteristic 2 and 3.
+        """
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        if p <= 3 and not allow_small:
+        if p <= 3:
             raise ValueError(f"GF({p}) rejected: characteristic 2 and 3 are not supported")
         return FieldSpec(p)
 
     @property
     def is_rational(self) -> bool:
         return self.p is None
-
-    @property
-    def characteristic(self) -> int:
-        return 0 if self.p is None else self.p
 
     def convert(self, x):
         """Map an int or Fraction into this field's scalar representation."""

@@ -454,7 +454,7 @@ def lift_two_alternating(
     for k in multidegrees(n_triangle_entries(n), d):
         monomials = enumerate_block_monomials(n, k)
         values = [field.convert(phi(m)) for m in monomials]
-        for row in block_rows(n, k, d, field):
+        for row in block_rows(n, k, d):
             total = field.zero()
             for c in row:
                 total = field.add(total, values[c])

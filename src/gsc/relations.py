@@ -13,8 +13,9 @@ and the saturation oracle justify it rather than assume it.
 The cubic, three-term and six-term generator families all span these
 rows in arity 4 (criterion 9 checks it by rank over Q and GF(5)).  The
 row of a multiset with a repeated letter is a generator divided by 2 or
-6, so the model equals the ideal only when 2 and 3 are invertible, and
-characteristic 2 or 3 is refused.
+6, so the model equals the ideal only when 2 and 3 are invertible.  The
+rows themselves are integer data, the same for every field; the refusal
+of characteristic 2 and 3 lives in :meth:`FieldSpec.prime`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import CharacteristicUnsupported, DegreeMismatch
+from .errors import DegreeMismatch
 from .fields import FieldSpec
 from .sparse import SparseMatrix, write_matrix_rows
 from .tensor import (
@@ -82,13 +83,6 @@ def _occupant_multisets(d: int) -> list[tuple[int, int, int]]:
     return list(combinations_with_replacement(range(1, d + 1), 3))
 
 
-def _check_field(field: FieldSpec | None) -> None:
-    if field is not None and field.characteristic in (2, 3):
-        raise CharacteristicUnsupported(
-            f"the relation model needs characteristic not 2 or 3, got {field}"
-        )
-
-
 def _fill_counts(k: MultiDegree, occ: tuple[int, int, int]) -> list[int] | None:
     """Letter counts left for the fill once ``occ`` is placed, or None."""
     remaining = list(k)
@@ -128,9 +122,7 @@ def _check_block(size: int, k: MultiDegree, d: int) -> None:
         raise DegreeMismatch(f"multidegree {k} does not sum to {n_pos}")
 
 
-def iter_block_relations(
-    size: int, k: MultiDegree, d: int, field: FieldSpec | None = None
-) -> Iterator[Row]:
+def iter_block_relations(size: int, k: MultiDegree, d: int) -> Iterator[Row]:
     """All relation rows of one multidegree block, deterministically.
 
     Each row is the sorted tuple of its column indices, a column being a
@@ -144,7 +136,6 @@ def iter_block_relations(
     vectorized call; the fill words depend only on the letters left, so
     they are built once per multiset.
     """
-    _check_field(field)
     _check_block(size, k, d)
     if size < 3:
         return
@@ -172,9 +163,8 @@ def iter_block_relations(
             yield from zip(*rows)
 
 
-def relation_generators(n: int, d: int, field: FieldSpec | None = None) -> list[TriangleRelation]:
+def relation_generators(n: int, d: int) -> list[TriangleRelation]:
     """Every triangle relation of size n, across all multidegree blocks."""
-    _check_field(field)
     out: list[TriangleRelation] = []
     if n < 3:
         return out
@@ -202,9 +192,9 @@ class RelationBlock:
         return self.matrix.n_cols
 
 
-def block_rows(size: int, k: MultiDegree, d: int, field: FieldSpec | None = None) -> list[Row]:
+def block_rows(size: int, k: MultiDegree, d: int) -> list[Row]:
     """Deduplicated relation rows of one block, in first-seen order."""
-    return list(dict.fromkeys(iter_block_relations(size, k, d, field)))
+    return list(dict.fromkeys(iter_block_relations(size, k, d)))
 
 
 def assemble_relation_block(n: int, k: MultiDegree, d: int, field: FieldSpec) -> RelationBlock:
@@ -214,7 +204,7 @@ def assemble_relation_block(n: int, k: MultiDegree, d: int, field: FieldSpec) ->
     the construction is deterministic for fixed inputs.
     """
     monomials = enumerate_block_monomials(n, tuple(k))
-    rows = block_rows(n, tuple(k), d, field)
+    rows = block_rows(n, tuple(k), d)
     # rows are sorted and duplicate-free, as SparseMatrix requires; every
     # entry is the int 1, the unit of every field (over Q too)
     matrix = SparseMatrix(
@@ -245,7 +235,6 @@ def write_block_matrix_text(
     assembled block; ``gsc export`` writes every block this way.
     """
     k = tuple(k)
-    _check_field(field)
     _check_block(n, k, d)
     n_cols = count_block_monomials(n, k)
     # opened before the rows are built, so a bad path fails fast

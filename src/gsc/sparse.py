@@ -371,7 +371,7 @@ def read_matrix_text(text: str) -> SparseMatrix:
     if not lines:
         raise ValueError("empty matrix file")
     n_rows, n_cols, modulus = (int(x) for x in lines[0].split())
-    field = FieldSpec.rational() if modulus == 0 else FieldSpec.prime(modulus, allow_small=True)
+    field = FieldSpec.rational() if modulus == 0 else FieldSpec.prime(modulus)
     entries = []
     terminated = False
     for ln in lines[1:]:

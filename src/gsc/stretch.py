@@ -24,14 +24,13 @@ over GF(p) or Q:
 The stream is one uninterrupted pass, since a rerun could not resume
 inside it without streaming every row again.  Checkpoints (pickle under
 the cache directory) land after the stream, after the peel and when the
-run is done, so a rerun resumes in phase peel or done.  A time budget
-is checked after the stream and after each peel sweep; once the core
-starts it runs to the end.  An unreadable or mismatched checkpoint, or
-one saved under another checkpoint schema, is ignored.  A run over
-GF(p) reports a dimension that upper-bounds the rational one; a run
-with ``p = None`` is exact over Q.  The block is parameterizable so the
-identical pipeline is exercised on small blocks by the tests; the
-defaults are the open case.
+run is done, so a run stopped from outside (an interrupt, a memory
+error) resumes in phase peel or done.  An unreadable or mismatched
+checkpoint, or one saved under another checkpoint schema, is ignored.
+A run over GF(p) reports a dimension that upper-bounds the rational
+one; a run with ``p = None`` is exact over Q.  The block is
+parameterizable so the identical pipeline is exercised on small blocks
+by the tests; the defaults are the open case.
 """
 
 from __future__ import annotations
@@ -299,7 +298,7 @@ class StretchReport:
     rank: int
     dimension: int
     seconds: float
-    finished: bool
+    finished: bool  # always true: a report is made only when the run is done
 
 
 def _report(state: StretchState, t0: float) -> StretchReport:
@@ -323,16 +322,14 @@ def stretch_rank(
     field: FieldSpec,
     cache_dir=None,
     progress=None,
-    time_budget: float | None = None,
     block: StretchBlock = CONJECTURE_BLOCK,
 ) -> StretchReport:
     """Rank of the block over ``field``; checkpoints and resumes.
 
-    With a ``time_budget`` (seconds) the run checkpoints and returns
-    ``finished=False`` when the budget has expired; it is checked after
-    the stream and after each peel sweep, and rerunning resumes from the
-    last checkpoint.  The stream and the core, once started, run to the
-    end.  A core of more than ``sparse.MAX_ENTRIES`` entries raises
+    The run loads its checkpoint, or streams every row and saves (phase
+    peel); peels the stash to its fixed point and saves; eliminates the
+    core and saves (phase done).  A run stopped after a save resumes
+    there.  A core of more than ``sparse.MAX_ENTRIES`` entries raises
     :class:`ResourceLimit` after the peel has been checkpointed.
 
     Rational runs are exact: the peel phase uses only unit and binomial
@@ -341,10 +338,6 @@ def stretch_rank(
     """
     p = field.p
     t0 = time.monotonic()
-
-    def out_of_time() -> bool:
-        return time_budget is not None and time.monotonic() - t0 > time_budget
-
     state = _load(cache_dir, block, p, progress)
     if state is not None:
         if progress:
@@ -361,8 +354,6 @@ def stretch_rank(
                 f"stream done: {count} rows, merges {uf.merges}, "
                 f"deaths {uf.deaths}, stash {len(state.stash)}"
             )
-        if out_of_time():
-            return _report(state, t0)
     uf = state.uf
 
     if state.phase == "peel":
@@ -378,11 +369,9 @@ def stretch_rank(
                 progress(
                     f"peel sweep {sweep}: +{changed} pivots, stash {len(state.stash)}"
                 )
-            if not changed or out_of_time():
+            if not changed:
                 break
         _save(state, cache_dir)
-        if changed:  # the budget ran out before the fixed point
-            return _report(state, t0)
 
         # the core: what the peel left, over the live class roots,
         # eliminated in one call to the table engine

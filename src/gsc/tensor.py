@@ -466,9 +466,7 @@ def unrank_in_block(rank: int, size: int, k: MultiDegree) -> TriMonomial:
 # ---------------------------------------------------------------------------
 # Multilinear expansion
 
-def expand_multilinear(
-    size: int, entries: Mapping[Position, Sequence], d: int | None = None
-) -> TriElement:
+def expand_multilinear(size: int, entries: Mapping[Position, Sequence], d: int) -> TriElement:
     """Distribute general vectors over every triangle position.
 
     Each position maps to a coordinate vector in the chosen basis; the
@@ -479,8 +477,6 @@ def expand_multilinear(
     if set(entries) != set(pos):
         raise ShapeMismatch(f"entries must cover exactly the triangle of size {size}")
     vectors = [entries[p] for p in pos]
-    if d is None:
-        d = max((len(v) for v in vectors), default=0)
     for v in vectors:
         if len(v) != d:
             raise ShapeMismatch(f"coordinate vector length {len(v)} != dim {d}")

@@ -80,8 +80,8 @@ def _criterion_09_failures(ctx):
 
 
 def test_criterion_09_fails_on_dropped_model_row(ctx, monkeypatch):
-    def drop_pair_row(size, k, d, field=None):
-        return [] if (k, d) == ((2, 1), 2) else block_rows(size, k, d, field)
+    def drop_pair_row(size, k, d):
+        return [] if (k, d) == ((2, 1), 2) else block_rows(size, k, d)
 
     monkeypatch.setattr(acceptance, "block_rows", drop_pair_row)
     failures = _criterion_09_failures(ctx)
@@ -147,15 +147,36 @@ def test_criterion_11_runs_rational_field_first(tmp_path, monkeypatch):
     assert all(r.passed and r.computed.startswith("dimension 1 ") for r in runs)
 
 
+def test_criterion_11_fails_when_a_prime_loses_dimension(tmp_path, monkeypatch):
+    # a run over GF(p) can only lose rank: a prime whose dimension is
+    # below the rational one fails its claim, and only that one
+    from dataclasses import replace
+
+    from gsc import stretch
+
+    small = stretch.StretchBlock(n=4, k=(3, 3), d=2)
+    bad_p = MULTI_PRIME_SET[1]
+    run = stretch.stretch_rank
+
+    def low_prime(field, **kwargs):
+        rep = run(field, block=small, **kwargs)
+        return replace(rep, dimension=rep.dimension - 1) if field.p == bad_p else rep
+
+    monkeypatch.setattr(stretch, "stretch_rank", low_prime)
+    results = CRITERIA[11](AcceptanceContext(cache_dir=tmp_path, include_stretch=True))
+    assert [r.passed for r in results] == [True, True, True, False, True]
+    failed = results[3]
+    assert f"GF({bad_p})" in failed.claim
+    assert (failed.expected, failed.computed.split(" (")[0]) == (">= 1", "dimension 0")
+
+
 @pytest.mark.skipif(
     not os.environ.get("GSC_STRETCH"),
-    reason="long conjecture-block run (minutes per prime); set GSC_STRETCH=1 to run",
+    reason="long conjecture-block run (about 30 s per field); set GSC_STRETCH=1 to run",
 )
 def test_criterion_11_stretch_full(ctx):
-    stretch_ctx = AcceptanceContext(
-        cache_dir=ctx.cache_dir, include_stretch=True,
-        stretch_budget=float(os.environ.get("GSC_STRETCH_BUDGET", "0")) or None,
-    )
-    results = CRITERIA[11](stretch_ctx)
+    results = CRITERIA[11](AcceptanceContext(cache_dir=ctx.cache_dir, include_stretch=True))
     for res in results:
         print(res.line())
+    for res in results:
+        assert res.passed, res.line()

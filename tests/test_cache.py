@@ -1,12 +1,15 @@
 import json
+import random
 import threading
+from fractions import Fraction
 
 import pytest
 
 from gsc.cache import BlockCache, resolve_cache_dir
 from gsc.fields import FieldSpec
 from gsc.quotient import QuotientConfig, block_dimension, block_echelon, clear_memory_cache
-from gsc.sparse import EchelonForm
+from gsc.relations import assemble_relation_block
+from gsc.sparse import EchelonForm, echelon_sparse
 
 Q = FieldSpec.rational()
 
@@ -43,6 +46,26 @@ def test_echelon_round_trip(tmp_path):
     assert back.pivot_cols == (0,)
     assert back.rank == 1
     assert back.rows[0][1][1] == 2
+
+
+def test_cached_echelon_over_q_keeps_int_rows(tmp_path):
+    # the text reader gives Fractions over Q; the cache hands back the
+    # int rows that elimination made
+    m = assemble_relation_block(4, (2, 2, 2), 3, Q).matrix
+    fresh = echelon_sparse(m)
+    assert all(type(v) is int for row in fresh.rows for _, v in row)
+    cache = BlockCache(tmp_path)
+    cache.store_echelon(3, 4, (2, 2, 2), Q, fresh)
+    back = cache.load_echelon(3, 4, (2, 2, 2), Q)
+    assert all(type(v) is int for row in back.rows for _, v in row)
+    assert back == fresh
+    rng = random.Random(8)
+    vectors = [{c: 1} for c in range(m.n_cols)] + [
+        {c: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for c in rng.sample(range(m.n_cols), 6)}
+        for _ in range(20)
+    ]
+    for vec in vectors:
+        assert back.reduce_vector(vec) == fresh.reduce_vector(vec), vec
 
 
 def test_concurrent_insert_if_absent(tmp_path):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from gsc.fields import MULTI_PRIME_SET, FieldSpec, is_prime
+from gsc.sparse import read_matrix_text
 
 
 def test_default_primes_are_prime():
@@ -12,11 +13,22 @@ def test_default_primes_are_prime():
 
 
 def test_small_prime_rejected_without_override():
+    assert FieldSpec.prime(5).p == 5
     with pytest.raises(ValueError):
-        FieldSpec.prime(3)
-    assert FieldSpec.prime(3, allow_small=True).p == 3
-    with pytest.raises(ValueError):
-        FieldSpec.prime(6, allow_small=True)
+        FieldSpec.prime(6)
+
+
+def test_characteristic_2_and_3_are_refused():
+    # the relation model spans the ideal only where 2 and 3 are invertible
+    for p in (2, 3):
+        with pytest.raises(ValueError, match="characteristic 2 and 3"):
+            FieldSpec.prime(p)
+        with pytest.raises(ValueError, match="characteristic 2 and 3"):
+            FieldSpec.parse(f"prime:{p}")
+    # a matrix file over GF(3) cannot be read either
+    with pytest.raises(ValueError, match="characteristic 2 and 3"):
+        read_matrix_text("1 1 3\n1 1 1\n0 0 0\n")
+    assert read_matrix_text("1 1 5\n1 1 1\n0 0 0\n").field == FieldSpec.prime(5)
 
 
 def test_parse_round_trip():
@@ -30,7 +42,7 @@ def test_parse_round_trip():
 def test_rational_convert_and_ops():
     q = FieldSpec.rational()
     assert q.convert(3) == Fraction(3)
-    assert q.characteristic == 0
+    assert q.is_rational and not FieldSpec.prime(5).is_rational
 
 
 def test_fraction_conversion_mod_p():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from gsc.errors import CharacteristicUnsupported, DegreeMismatch
+from gsc.errors import DegreeMismatch
 from gsc.fields import FieldSpec
 from gsc.relations import (
     TriangleRelation,
@@ -127,14 +127,6 @@ def test_degree_mismatch_rejected():
         block_rows(3, (1, 1), 2)
     with pytest.raises(DegreeMismatch):
         assemble_relation_block(3, (4,), 1, Q)
-
-
-def test_characteristic_guard_for_polarized_variants():
-    gf2 = FieldSpec.prime(2, allow_small=True)
-    with pytest.raises(CharacteristicUnsupported):
-        block_rows(3, (2, 1), 2, field=gf2)
-    with pytest.raises(CharacteristicUnsupported):
-        assemble_relation_block(3, (2, 1), 2, FieldSpec.prime(3, allow_small=True))
 
 
 def test_triangle_relation_arrangements():

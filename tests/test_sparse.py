@@ -19,7 +19,7 @@ from gsc.sparse import (
 )
 
 Q = FieldSpec.rational()
-GF5 = FieldSpec.prime(5, allow_small=True)
+GF5 = FieldSpec.prime(5)
 
 
 def random_matrix(rng, rows, cols, field, lo=-20, hi=20):
@@ -155,7 +155,7 @@ def test_rational_elimination_matches_dense_reference():
 def test_prime_field_echelon_matches_dense_reference():
     rng = random.Random(21)
     for p in (5, 97):
-        field = FieldSpec.prime(p, allow_small=True)
+        field = FieldSpec.prime(p)
         for _ in range(300):
             rows, cols = rng.randint(1, 8), rng.randint(1, 8)
             dense = [[rng.randint(-20, 20) for _ in range(cols)] for _ in range(rows)]

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import pickle
 from dataclasses import replace
 from fractions import Fraction
@@ -59,57 +60,56 @@ def test_pipeline_matches_block_dimension_table(tmp_path):
                 assert rep.core_rows == 2060 and rep.core_rank > 0
 
 
+class Stopped(Exception):
+    """Stands for whatever ends a run from outside: an interrupt, a kill."""
+
+
 def test_checkpoint_and_resume(tmp_path, monkeypatch):
-    block = StretchBlock(n=5, k=(5, 5), d=2)
-    # a zero budget stops at the first phase boundary
-    rep1 = stretch_rank(GFP, cache_dir=tmp_path, block=block, time_budget=0.0)
-    assert not rep1.finished
-    rep2 = stretch_rank(GFP, cache_dir=tmp_path, block=block)
-    assert rep2.finished
-    # full-column-rank block: the quotient dimension here is 0
-    assert rep2.dimension == 0 and rep2.n_columns == 252
-    # fresh single-shot run agrees with the resumed one
-    rep3 = stretch_rank(GFP, cache_dir=tmp_path / "fresh", block=block)
-    assert rep3.rank == rep2.rank
-    # a further call resumes the finished run without streaming and
-    # reports what was saved; the second block has a core, so this also
-    # shows that the core rank is persisted
-    with_core = StretchBlock(n=4, k=(2, 2, 2), d=3)
-    done = {block: rep2, with_core: stretch_rank(GFP, cache_dir=tmp_path, block=with_core)}
-    assert done[with_core].core_rank > 0
+    block = StretchBlock(n=5, k=(4, 3, 3), d=3)  # a 2,060-row stash and a core
+    want = stretch_rank(GFP, cache_dir=tmp_path / "fresh", block=block)
+    assert want.core_rows == 2060 and want.core_rank > 0
+
+    reduce_items = _SignedUnionFind.reduce_row_items
+    reduced = itertools.count()
+
+    def stop_in_first_sweep(uf, items):
+        # only the peel reduces stashed items; stop a few rows in
+        if next(reduced) == 5:
+            raise Stopped
+        return reduce_items(uf, items)
+
+    def stop(*args, **kwargs):
+        raise Stopped
+
+    stops = {
+        "peel": (_SignedUnionFind, "reduce_row_items", stop_in_first_sweep),
+        "core": (gsc.sparse, "_sparse_eliminate", stop),
+    }
+    for where, (owner, name, fn) in stops.items():
+        with monkeypatch.context() as m:
+            m.setattr(owner, name, fn)
+            with pytest.raises(Stopped):
+                stretch_rank(GFP, cache_dir=tmp_path / where, block=block)
+        messages = []
+        rep = stretch_rank(GFP, cache_dir=tmp_path / where, block=block, progress=messages.append)
+        assert messages[0] == "resumed in phase peel", where
+        assert replace(rep, seconds=0.0) == replace(want, seconds=0.0), where
+
+    # a further call resumes a finished run without streaming and reports
+    # what was saved, the core rank included
+    full_rank = StretchBlock(n=5, k=(5, 5), d=2)
+    done = {block: want, full_rank: stretch_rank(GFP, cache_dir=tmp_path / "core", block=full_rank)}
+    assert (done[full_rank].dimension, done[full_rank].n_columns) == (0, 252)
 
     def no_rows(*args, **kwargs):
         raise AssertionError("a finished run streamed rows")
 
     monkeypatch.setattr(gsc.stretch, "iter_block_relations", no_rows)
-    for b, want in done.items():
+    for b, rep in done.items():
         messages = []
-        again = stretch_rank(GFP, cache_dir=tmp_path, block=b, progress=messages.append)
+        again = stretch_rank(GFP, cache_dir=tmp_path / "core", block=b, progress=messages.append)
         assert messages == ["resumed in phase done"]
-        assert replace(again, seconds=0.0) == replace(want, seconds=0.0)
-
-
-def test_zero_budget_runs_finish_phase_by_phase(tmp_path):
-    # every call makes progress: the stream is never cut short, so no
-    # call resumes inside it, and each later call runs one peel sweep
-    block = StretchBlock(n=5, k=(4, 3, 3), d=3)
-    fresh = []
-    want = stretch_rank(GFP, cache_dir=tmp_path / "fresh", block=block, progress=fresh.append)
-    sweeps = sum(m.startswith("peel sweep") for m in fresh)
-    calls = []
-    while not calls or not calls[-1][0].finished:
-        assert len(calls) < sweeps + 2, [m for _, m in calls]
-        messages = []
-        rep = stretch_rank(
-            GFP, cache_dir=tmp_path / "budget", block=block, time_budget=0.0,
-            progress=messages.append,
-        )
-        calls.append((rep, messages))
-    first = calls[0][1]
-    assert not calls[0][0].finished and first[-1].startswith("stream done")
-    assert not any(m.startswith("peel sweep") for m in first)
-    assert all("resumed in phase stream" not in m for _, ms in calls for m in ms)
-    assert replace(calls[-1][0], seconds=0.0) == replace(want, seconds=0.0)
+        assert replace(again, seconds=0.0) == replace(rep, seconds=0.0)
 
 
 def test_oversized_core_is_refused_after_the_peel_is_saved(tmp_path, monkeypatch):
