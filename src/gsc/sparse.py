@@ -1,17 +1,26 @@
 """Sparse matrices over Q or GF(p): exact rank and echelon forms.
 
-One engine lives here: pure-Python sparse elimination with a
-Markowitz-style least-fill pivot chosen within the leftmost eligible
-column.  Relation blocks have at most 6 nonzeros per row, so fill-in
-dominates cost and least-fill pivoting keeps it small.  Elimination is
+The rank engine runs in two stages.  A signed union-find first peels
+the rows, shortest first, to a fixed point: a row with one surviving
+term kills its column class and a row with two identifies two classes
+up to a scale.  These are the unit and binomial pivots of structured
+Gaussian elimination, and they cause no fill-in at all.  The rows that
+survive, over the live classes, form a core, whose rank comes from
+pure-Python sparse elimination with a Markowitz-style least-fill pivot
+chosen within the leftmost eligible column.  The open block's stretch
+run streams its rows through the same union-find and ranks its core
+through the same helper.
+
+The forward echelon form, which gives the normal forms, is pure
+Markowitz elimination of the whole matrix, so it shares no code with
+the peel and is an independent route to the same rank.  Elimination is
 exact over every field and deterministic.  Over Q it is fraction-free
 (Bareiss): rows enter as primitive integer rows (relation rows arrive as
 the int 1, the unit of every field, and enter unchanged) and a unit pivot
 costs one int subtraction per entry.  Relation blocks pivot almost only
 on units, ±1 over Q and 1 over GF(p), so the loop has paths for them that
 skip ``divmod`` and rescaling, and a one-entry unit pivot row only deletes
-its column from the rows below it.  Its one output, the forward echelon
-form, gives both the rank and the normal forms.
+its column from the rows below it.
 """
 
 from __future__ import annotations
@@ -305,11 +314,197 @@ def _sparse_eliminate(m: SparseMatrix) -> tuple[list[int], list[dict[int, object
     return pivot_cols, pivot_rows
 
 
+class _SignedUnionFind:
+    """Column classes with unit multipliers: value(c) = scale(c) * value(root).
+
+    ``scale[c]`` is relative to ``parent[c]``; path compression rewrites
+    it to be relative to the root.  ``p`` of None runs the same structure
+    over the rationals, exactly: a scale is an int when the division that
+    makes it is exact and a ``Fraction`` only when it is not.  On every
+    block the tests run all scales are +-1, so the stash and the core
+    hold ints and the core goes straight into the integer engine.
+    """
+
+    __slots__ = ("p", "parent", "scale", "dead", "merges", "deaths")
+
+    def __init__(self, p: int | None, n: int):
+        self.p = p
+        self.parent = list(range(n))
+        self.scale = [1] * n
+        self.dead = bytearray(n)
+        self.merges = 0
+        self.deaths = 0
+
+    def find(self, c: int) -> tuple[int, object]:
+        parent = self.parent
+        scale = self.scale
+        path = []
+        while parent[c] != c:
+            path.append(c)
+            c = parent[c]
+        root = c
+        # compress from the shallow end: after the loop every path node
+        # points at the root with its cumulative multiplier
+        p_mod = self.p
+        cum = 1
+        for node in reversed(path):
+            cum = scale[node] * cum if p_mod is None else scale[node] * cum % p_mod
+            parent[node] = root
+            scale[node] = cum
+        return root, cum
+
+    def kill(self, root: int) -> None:
+        if not self.dead[root]:
+            self.dead[root] = 1
+            self.deaths += 1
+
+    def merge(self, r1: int, v1, r2: int, v2) -> None:
+        """Impose v1*x1 + v2*x2 = 0 on live roots r1 != r2."""
+        p = self.p
+        # attach r1 under r2: x1 = (-v2/v1) x2
+        self.parent[r1] = r2
+        if p is None:
+            q, r = divmod(-v2, v1)
+            self.scale[r1] = Fraction(-v2, v1) if r else q
+        else:
+            self.scale[r1] = -v2 * pow(v1, p - 2, p) % p
+        self.merges += 1
+
+    # The two reducers read a column's class in at most two list reads: a
+    # root is its own class with scale 1 (a root's scale is never
+    # rewritten), and a column whose parent is a root already holds its
+    # scale relative to that root, exactly what find would write back.
+    # Only a deeper chain pays for find and its compression.
+
+    def reduce_row_items(self, items) -> list[tuple[int, object]]:
+        """Map (column, coeff) pairs through classes; drop dead, combine."""
+        p, parent, scale, dead, find = self.p, self.parent, self.scale, self.dead, self.find
+        acc: dict[int, object] = {}
+        for c, coeff in items:
+            root = parent[c]
+            if root == c:
+                s = 1
+            elif parent[root] == root:
+                s = scale[c]
+            else:
+                root, s = find(c)
+            if dead[root]:
+                continue
+            v = acc.get(root, 0) + coeff * s
+            acc[root] = v if p is None else v % p
+        return [t for t in sorted(acc.items()) if t[1]]
+
+    def reduce_row(self, cols) -> list[tuple[int, object]]:
+        """Unit-coefficient column tuple, mapped through the classes."""
+        p, parent, scale, dead, find = self.p, self.parent, self.scale, self.dead, self.find
+        acc: dict[int, object] = {}
+        for c in cols:
+            root = parent[c]
+            if root == c:
+                s = 1
+            elif parent[root] == root:
+                s = scale[c]
+            else:
+                root, s = find(c)
+            if dead[root]:
+                continue
+            v = acc.get(root, 0) + s
+            acc[root] = v if p is None else v % p
+        return [t for t in sorted(acc.items()) if t[1]]
+
+    def absorb(self, items) -> bool:
+        """Use a reduced row as a unit/binomial pivot if short enough.
+
+        Returns True if consumed (length 0, 1 or 2), False if it belongs
+        in the core.
+        """
+        n = len(items)
+        if n == 2:
+            (r1, v1), (r2, v2) = items
+            self.merge(r1, v1, r2, v2)
+        elif n == 1:
+            self.kill(items[0][0])
+        return n <= 2
+
+    def sweep(self, rows, reduce, progress=None) -> tuple[set, int]:
+        """Reduce each row with ``reduce`` and absorb it, or stash it.
+
+        Returns the stashed rows and the number of rows read; with
+        ``progress`` a line is reported every million rows.
+        """
+        stash: set = set()
+        absorb, stash_add = self.absorb, stash.add
+        count = 0
+        for count, row in enumerate(rows, 1):
+            items = reduce(row)
+            if not absorb(items):
+                stash_add(tuple(items))
+            if progress and not count % 1_000_000:
+                progress(
+                    f"stream: {count} rows, merges {self.merges}, "
+                    f"deaths {self.deaths}, stash {len(stash)}"
+                )
+        return stash, count
+
+
+def _peel(uf: _SignedUnionFind, stash: list, progress=None) -> None:
+    """Re-peel ``stash`` through ``uf`` to a fixed point, in place.
+
+    Each sweep reduces every stashed row over the current classes and
+    absorbs it or stashes it again, and the sorted rows left replace
+    the list's contents, so the rows of the sweep before are freed;
+    sweeps repeat until one adds no pivot, with a line through
+    ``progress`` after each.
+    """
+    sweep = 0
+    while True:
+        sweep += 1
+        before = uf.merges + uf.deaths
+        stash_set, _ = uf.sweep(stash, uf.reduce_row_items)
+        stash[:] = sorted(stash_set)
+        changed = uf.merges + uf.deaths - before
+        if progress:
+            progress(f"peel sweep {sweep}: +{changed} pivots, stash {len(stash)}")
+        if not changed:
+            return
+
+
+def _core_rank(stash: list, field: FieldSpec, progress=None) -> int:
+    """Rank of what the peel left: the rows of ``stash`` over the live roots.
+
+    The peel's last sweep adds no pivot, so every row it stashed is
+    already reduced over the final classes.  The roots the rows touch are
+    numbered in order and the core is eliminated in one call to
+    :func:`_sparse_eliminate`.  A core of more than ``MAX_ENTRIES``
+    entries is refused before elimination.
+    """
+    entries = sum(map(len, stash))
+    if entries > MAX_ENTRIES:
+        raise ResourceLimit(f"core exceeds the memory budget ({entries} entries, limit {MAX_ENTRIES})")
+    roots = {r: i for i, r in enumerate(sorted({c for row in stash for c, _ in row}))}
+    core = SparseMatrix(
+        len(stash), len(roots), field,
+        tuple(tuple((roots[c], v) for c, v in row) for row in stash),
+    )
+    rank = len(_sparse_eliminate(core)[0])
+    if progress:
+        progress(f"core: {core.n_rows} rows on {core.n_cols} classes, rank {rank}")
+    return rank
+
+
 def rank_sparse(m: SparseMatrix) -> int:
-    """Exact rank of ``m`` over its field; deterministic elimination."""
+    """Exact rank of ``m`` over its field; deterministic elimination.
+
+    The rows, shortest first, are peeled to a fixed point by the signed
+    union-find, and only the core that survives goes through Markowitz
+    elimination: rank = merges + deaths + core rank.  Relation rows are
+    short unit rows, so most pivots are taken with no fill at all.
+    """
     _check_limits(m)
-    pivot_cols, _ = _sparse_eliminate(m)
-    return len(pivot_cols)
+    uf = _SignedUnionFind(m.field.p, m.n_cols)
+    stash = sorted(uf.sweep(sorted(m.rows, key=len), uf.reduce_row_items)[0])
+    _peel(uf, stash)
+    return uf.merges + uf.deaths + _core_rank(stash, m.field)
 
 
 def echelon_sparse(m: SparseMatrix) -> EchelonForm:

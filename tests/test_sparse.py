@@ -3,20 +3,24 @@ from fractions import Fraction
 
 import pytest
 
+import gsc.sparse
 from gsc import cache
 from gsc.errors import ResourceLimit
 from gsc.fields import FieldSpec
+from gsc.quotient import block_pruned
 from gsc.relations import assemble_relation_block
 from gsc.sparse import (
     EchelonForm,
     SparseMatrix,
     _primitive_row,
+    _SignedUnionFind,
     _sparse_eliminate,
     echelon_sparse,
     rank_sparse,
     read_matrix_text,
     write_matrix_text,
 )
+from gsc.tensor import multidegrees, n_triangle_entries
 
 Q = FieldSpec.rational()
 GF5 = FieldSpec.prime(5)
@@ -161,12 +165,94 @@ def test_prime_field_echelon_matches_dense_reference():
             dense = [[rng.randint(-20, 20) for _ in range(cols)] for _ in range(rows)]
             m = SparseMatrix.from_dense(dense, field)
             want = reference_rref(dense, field)
+            assert rank_sparse(m) == len(want), dense
             ech = echelon_sparse(m)
             assert ech.pivot_cols == tuple(row[0][0] for row in want), dense
             assert all(row[0][1] == 1 for row in ech.rows), dense
             for _ in range(3):
                 vec = random_vector(rng, cols)
                 assert ech.reduce_vector(vec) == reference_residual(want, vec, field), (dense, vec)
+
+
+def test_short_random_rows_match_dense_reference(monkeypatch):
+    # rows of 1-3 nonzeros are what the peel eats: kills, merges with
+    # non-unit and Fraction scales, and chains deep enough that the
+    # reducers call find; the rank must still be the dense reference's
+    seen = {}
+    find, merge = _SignedUnionFind.find, _SignedUnionFind.merge
+
+    def spy_find(uf, c):
+        seen["find"] += 1
+        return find(uf, c)
+
+    def spy_merge(uf, r1, v1, r2, v2):
+        merge(uf, r1, v1, r2, v2)
+        scale = uf.scale[r1]
+        seen["fraction"] += type(scale) is Fraction
+        seen["non-unit"] += scale not in ((1, -1) if uf.p is None else (1, uf.p - 1))
+
+    monkeypatch.setattr(_SignedUnionFind, "find", spy_find)
+    monkeypatch.setattr(_SignedUnionFind, "merge", spy_merge)
+    rng = random.Random(23)
+
+    def entry(field):
+        if field.is_rational and rng.random() < 0.3:
+            return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(2, 5))
+        return rng.choice((-1, 1)) * rng.randint(1, 9)
+
+    for field in (Q, GF5, FieldSpec.prime(97)):
+        seen.update({"find": 0, "fraction": 0, "non-unit": 0})
+        for _ in range(60):
+            rows, cols = rng.randint(1, 45), rng.randint(1, 40)
+            dense = [[0] * cols for _ in range(rows)]
+            for row in dense:
+                for c in rng.sample(range(cols), rng.randint(1, min(3, cols))):
+                    row[c] = entry(field)
+            m = SparseMatrix.from_dense(dense, field)
+            want = reference_rref(dense, field)
+            assert rank_sparse(m) == len(want), dense
+            assert echelon_sparse(m).rank == len(want), dense
+        assert seen["find"] and seen["non-unit"], (field, seen)
+        assert seen["fraction"] or not field.is_rational, seen
+
+
+def tables_blocks():
+    """Every non-pruned sorted-type block of d = 2 and 3 at arities 1-6."""
+    for d in (2, 3):
+        for n in range(6):
+            for k in multidegrees(n_triangle_entries(n), d):
+                if list(k) == sorted(k, reverse=True) and not block_pruned(n, k):
+                    yield n, k, d
+
+
+@pytest.mark.parametrize("field", [Q, FieldSpec.prime(1_000_003)], ids=str)
+def test_peeled_rank_matches_markowitz_echelon_on_table_blocks(field):
+    # two routes that share no code: the peel plus a Markowitz core, and
+    # Markowitz elimination of the whole matrix
+    blocks = list(tables_blocks())
+    assert len(blocks) == 15
+    for n, k, d in blocks:
+        m = assemble_relation_block(n, k, d, field).matrix
+        assert rank_sparse(m) == echelon_sparse(m).rank, (n, k, d)
+
+
+def test_rank_eliminates_only_the_core_the_peel_leaves(monkeypatch):
+    # the core rows are those of the stretch run on the same blocks
+    # (StretchReport.core_rows, pinned in test_stretch.py); a rank that
+    # eliminated the whole matrix would show every relation row here
+    seen = []
+    eliminate = gsc.sparse._sparse_eliminate
+
+    def spy_eliminate(m):
+        seen.append(m.n_rows)
+        return eliminate(m)
+
+    monkeypatch.setattr(gsc.sparse, "_sparse_eliminate", spy_eliminate)
+    for k, core_rows, rank in (((4, 4, 2), 80, 3144), ((4, 3, 3), 2060, 4184)):
+        seen.clear()
+        m = assemble_relation_block(5, k, 3, Q).matrix
+        assert rank_sparse(m) == rank
+        assert seen == [core_rows], k
 
 
 def test_rational_forward_rows_are_fraction_free_and_scaled_rows_primitive():

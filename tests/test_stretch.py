@@ -45,6 +45,7 @@ def test_pipeline_on_pruned_block(tmp_path):
 
 def test_pipeline_matches_block_dimension_table(tmp_path):
     from gsc.quotient import QuotientConfig, block_dimension, clear_memory_cache
+    from gsc.relations import assemble_relation_block
 
     clear_memory_cache()
     cfg = QuotientConfig(cache_dir=tmp_path / "q")
@@ -55,6 +56,10 @@ def test_pipeline_matches_block_dimension_table(tmp_path):
             table = block_dimension(n, k, d, field, config=cfg)
             assert rep.rank == table.rank, (n, k, field)
             assert rep.dimension == table.dimension
+            # both share the peel; the echelon form is whole-matrix
+            # Markowitz elimination, a route that shares none of it
+            ech = gsc.sparse.echelon_sparse(assemble_relation_block(n, k, d, field).matrix)
+            assert len(ech.pivot_cols) == rep.rank, (n, k, field)
             if k == (4, 3, 3):
                 # 2,060 rows survive the peel: the core engine does real work
                 assert rep.core_rows == 2060 and rep.core_rank > 0
@@ -226,6 +231,11 @@ def test_rational_and_prime_pipelines_agree(tmp_path):
         assert rq.rank == rp.rank and rq.dimension == rp.dimension
 
 
+def seal(payload: bytes) -> bytes:
+    """A checkpoint file: the pickle, then a line with its SHA-256."""
+    return payload + hashlib.sha256(payload).hexdigest().encode() + b"\n"
+
+
 def test_truncated_or_mismatched_checkpoint_starts_fresh(tmp_path):
     block = StretchBlock(n=4, k=(3, 3), d=2)
     want = stretch_rank(GFP, cache_dir=tmp_path, block=block)
@@ -234,34 +244,47 @@ def test_truncated_or_mismatched_checkpoint_starts_fresh(tmp_path):
     stretch_rank(GFP, cache_dir=tmp_path / "other", block=other)
     foreign = _checkpoint_path(tmp_path / "other", other, GFP.p).read_bytes()
     good = path.read_bytes()
+    payload = good[:-65]
+    assert seal(payload) == good
 
     def edited(edit):
-        state = pickle.loads(good)
+        state = pickle.loads(good)  # pickle stops before the trailer
         edit(state)
-        return pickle.dumps(state)
+        return seal(pickle.dumps(state))
+
+    def ignored(bad, reason):
+        path.write_bytes(bad)
+        messages = []
+        rep = stretch_rank(GFP, cache_dir=tmp_path, block=block, progress=messages.append)
+        assert replace(rep, seconds=0.0) == replace(want, seconds=0.0)
+        assert any("ignoring checkpoint" in m and reason in m for m in messages), messages
+        assert not any(m.startswith("resumed") for m in messages)
 
     for bad, reason in (
-        (good[:100], "unreadable"),
+        (good[:100], "unreadable (digest mismatch)"),
+        (payload, "unreadable (digest mismatch)"),
+        (seal(payload[:100]), "unreadable (UnpicklingError"),
         (foreign, "another block"),
         # a state saved by code with another schema, e.g. another row order
         (edited(lambda s: setattr(s, "schema", CHECKPOINT_SCHEMA - 1)), f"schema {CHECKPOINT_SCHEMA - 1}"),
-        # corrupt bytes that pickle itself does not report as such
-        (good.replace(b"StretchState", b"StretchStatf"), "unreadable (AttributeError"),
-        (good.replace(b"gsc.stretch", b"gsc.strftch"), "unreadable (ModuleNotFoundError"),
-        (b"\x80\x05X\x02\x00\x00\x00\xff\xfe.", "unreadable (UnicodeDecodeError"),
+        # corrupt bytes under a matching digest that pickle itself does
+        # not report as such
+        (seal(payload.replace(b"StretchState", b"StretchStatf")), "unreadable (AttributeError"),
+        (seal(payload.replace(b"gsc.stretch", b"gsc.strftch")), "unreadable (ModuleNotFoundError"),
+        (seal(b"\x80\x05X\x02\x00\x00\x00\xff\xfe."), "unreadable (UnicodeDecodeError"),
         # well-formed states that no run saves
         (edited(lambda s: s.uf.parent.pop()), "does not span"),
         (edited(lambda s: s.uf.dead.append(0)), "does not span"),
         (edited(lambda s: setattr(s, "phase", "stream")), "unknown phase 'stream'"),
         (edited(lambda s: delattr(s, "stash")), "no attribute 'stash'"),
     ):
-        path.write_bytes(bad)
-        messages = []
-        rep = stretch_rank(GFP, cache_dir=tmp_path, block=block, progress=messages.append)
-        assert rep.finished
-        assert (rep.rank, rep.dimension, rep.peel_rank) == (want.rank, want.dimension, want.peel_rank)
-        assert any("ignoring checkpoint" in m and reason in m for m in messages), messages
-        assert not any(m.startswith("resumed") for m in messages)
+        ignored(bad, reason)
+    # one flipped bit anywhere, in the pickle or in its trailer, is caught
+    # by the digest, even where the state would still unpickle
+    for i in range(len(good)):
+        bad = bytearray(good)
+        bad[i] ^= 1
+        ignored(bytes(bad), "unreadable (digest mismatch)")
     # without a progress callback the bad file is still ignored
     path.write_bytes(b"")
     assert stretch_rank(GFP, cache_dir=tmp_path, block=block).rank == want.rank
