@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, permutations, repeat
-from typing import Iterator
+from typing import Collection, Iterator
 
 import numpy as np
 
@@ -122,7 +122,13 @@ def _check_block(size: int, k: MultiDegree, d: int) -> None:
         raise DegreeMismatch(f"multidegree {k} does not sum to {n_pos}")
 
 
-def iter_block_relations(size: int, k: MultiDegree, d: int) -> Iterator[Row]:
+def iter_block_relations(
+    size: int,
+    k: MultiDegree,
+    d: int,
+    occupants: Collection[tuple[int, int, int]] | None = None,
+    dead: np.ndarray | None = None,
+) -> Iterator[Row]:
     """All relation rows of one multidegree block, deterministically.
 
     Each row is the sorted tuple of its column indices, a column being a
@@ -135,6 +141,12 @@ def iter_block_relations(size: int, k: MultiDegree, d: int) -> Iterator[Row]:
     array with each arrangement of the occupants and ranked in a single
     vectorized call; the fill words depend only on the letters left, so
     they are built once per multiset.
+
+    ``occupants``, a collection of occupant multisets, restricts the rows
+    to those multisets, in the same order.  ``dead``, a ``uint8`` array
+    over the block's columns, drops every row whose columns are all
+    marked; it is read at each (triple, multiset) batch, so marks set
+    while earlier rows are consumed take effect at the next batch.
     """
     _check_block(size, k, d)
     if size < 3:
@@ -144,7 +156,7 @@ def iter_block_relations(size: int, k: MultiDegree, d: int) -> Iterator[Row]:
     fills = {}  # occupant multiset -> its fill words, one per array row
     for occ in _occupant_multisets(d):
         remaining = _fill_counts(k, occ)
-        if remaining is not None:
+        if remaining is not None and (occupants is None or occ in occupants):
             fills[occ] = word_array(remaining)
     for i, j, kk in combinations(range(1, size + 1), 3):
         slots = [_triangle_offset(size, *p) for p in ((i, j), (i, kk), (j, kk))]
@@ -158,7 +170,10 @@ def iter_block_relations(size: int, k: MultiDegree, d: int) -> Iterator[Row]:
                 columns.append(rank_words_in_block(words, k))
             # one array row per arrangement; sorting down each column
             # sorts each relation's column indices
-            rows = np.sort(np.stack(columns), axis=0).tolist()
+            rows = np.sort(np.stack(columns), axis=0)
+            if dead is not None:
+                rows = rows[:, ~dead[rows].all(axis=0)]
+            rows = rows.tolist()
             del words, columns  # free the batch while its rows are consumed
             yield from zip(*rows)
 

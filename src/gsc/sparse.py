@@ -323,6 +323,11 @@ class _SignedUnionFind:
     makes it is exact and a ``Fraction`` only when it is not.  On every
     block the tests run all scales are +-1, so the stash and the core
     hold ints and the core goes straight into the integer engine.
+
+    ``dead[c]`` is set only on a root (:meth:`kill`), and :meth:`merge`
+    joins only live roots, so a dead column stays a dead root: a row of
+    dead columns reduces to nothing and changes no class, which lets
+    the stretch drop such rows unread.
     """
 
     __slots__ = ("p", "parent", "scale", "dead", "merges", "deaths")

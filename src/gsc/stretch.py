@@ -8,10 +8,14 @@ nothing materializes the full matrix.
 The run moves through the phases stream -> peel -> done, all exact
 over GF(p) or Q:
 
-  stream - every relation row is read once and mapped through the
-           column classes of a signed union-find: a row with one
-           surviving term kills its class, a row with two identifies
-           two classes up to a unit, and longer rows are stashed.
+  stream - every relation row is read once, shortest first (the rows
+           of the occupant multisets with 1, then 2, then 3 distinct
+           letters: 1, 3 and 6 columns), and mapped through the column
+           classes of a signed union-find: a row with one surviving
+           term kills its class, a row with two identifies two classes
+           up to a unit, and longer rows are stashed.  A row whose
+           columns are all dead roots is dropped in numpy before it
+           reaches Python; it would reduce to nothing.
   peel   - the stash is re-peeled in memory to a fixed point.  Stream
            and peel are Gaussian elimination restricted to unit and
            binomial pivots, so they cause no fill-in at all.
@@ -43,6 +47,9 @@ from __future__ import annotations
 import pickle
 import time
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 try:  # CPython's own SHA-256: importing hashlib maps OpenSSL, about 4 MB of RSS
     from _sha256 import sha256
@@ -51,7 +58,7 @@ except ImportError:
 
 from .cache import resolve_cache_dir
 from .fields import FieldSpec
-from .relations import iter_block_relations
+from .relations import _occupant_multisets, iter_block_relations
 from .sparse import _core_rank, _peel, _SignedUnionFind
 from .tensor import count_block_monomials
 from .tensor import rank_in_block  # noqa: F401  unused here; perfbench/spans.py wraps this name
@@ -81,8 +88,9 @@ CONJECTURE_BLOCK = StretchBlock()
 # core basis of their own; schema 3 files may be saved inside the stream;
 # schema 4 files hold Fraction scales and stash entries over Q, where
 # schema 5 files hold ints wherever the value is an integer; schema 6
-# files end in a digest of the pickle.
-CHECKPOINT_SCHEMA = 6
+# files end in a digest of the pickle; schema 7 files come from the
+# shortest-first stream, whose stash and classes differ.
+CHECKPOINT_SCHEMA = 7
 # A checkpoint is its pickle followed by this trailer line; pickle stops
 # at its STOP opcode, so a plain ``pickle.load`` still reads the state.
 _TRAILER_LEN = 65  # hex SHA-256 and a newline
@@ -233,9 +241,19 @@ def stretch_rank(
         if progress:
             progress(f"resumed in phase {state.phase}")
     else:
-        # One pass over every relation row; short rows peel immediately.
+        # One pass over every relation row, shortest first; short rows
+        # peel immediately, and a row whose columns are all dead roots,
+        # which would reduce to nothing, never leaves numpy.
         uf = _SignedUnionFind(p, block.columns())
-        rows = iter_block_relations(block.n, block.k, block.d)
+        dead = np.frombuffer(uf.dead, np.uint8)  # a live view: sees every kill
+        multisets = _occupant_multisets(block.d)
+        rows = chain.from_iterable(
+            # the multisets of n distinct letters give the rows of 1, 3, 6 columns
+            iter_block_relations(
+                block.n, block.k, block.d, [o for o in multisets if len(set(o)) == n], dead
+            )
+            for n in (1, 2, 3)
+        )
         stash_set, count = uf.sweep(rows, uf.reduce_row, progress)
         state = StretchState(CHECKPOINT_SCHEMA, p, block, "peel", uf, sorted(stash_set))
         del stash_set  # so the peel can free the stream's rows as it replaces them

@@ -172,7 +172,7 @@ def test_criterion_11_fails_when_a_prime_loses_dimension(tmp_path, monkeypatch):
 
 @pytest.mark.skipif(
     not os.environ.get("GSC_STRETCH"),
-    reason="long conjecture-block run (about 30 s per field); set GSC_STRETCH=1 to run",
+    reason="long conjecture-block run (about 15-20 s per field); set GSC_STRETCH=1 to run",
 )
 def test_criterion_11_stretch_full(ctx):
     results = CRITERIA[11](AcceptanceContext(cache_dir=ctx.cache_dir, include_stretch=True))

@@ -1,11 +1,15 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gsc.errors import DegreeMismatch
 from gsc.fields import FieldSpec
+from gsc.quotient import block_pruned
 from gsc.relations import (
     TriangleRelation,
+    _fill_counts,
+    _occupant_multisets,
     _triangle_relations,
     assemble_relation_block,
     block_row_count,
@@ -21,7 +25,9 @@ from gsc.tensor import (
     multidegree_of,
     multidegrees,
     n_triangle_entries,
+    count_block_monomials,
     rank_in_block,
+    word_array,
 )
 
 Q = FieldSpec.rational()
@@ -55,6 +61,51 @@ def test_integer_rows_match_reference_model(n, k, d):
     rows = list(iter_block_relations(n, k, d))
     assert rows and rows == reference_rows(n, k, d)
     assert len(rows) == block_row_count(n, k, d)
+
+
+# the 15 non-pruned blocks of the d = 2 and d = 3 tables, arities 1-6
+TABLE_BLOCKS = [
+    (n, k, d)
+    for d in (2, 3)
+    for n in range(6)
+    for k in multidegrees(n_triangle_entries(n), d)
+    if list(k) == sorted(k, reverse=True) and not block_pruned(n, k)
+]
+
+
+@pytest.mark.parametrize("n,k,d", TABLE_BLOCKS + [(6, (10, 4, 1), 3)])
+def test_occupant_groups_and_dead_mask_select_rows(n, k, d):
+    rows = list(iter_block_relations(n, k, d))
+    # a row has one column per distinct arrangement of its multiset, so the
+    # multisets of 1, 2 and 3 distinct letters split the rows by length;
+    # each restricted call keeps the default order
+    grouped = []
+    for letters, length in ((1, 1), (2, 3), (3, 6)):
+        group = [occ for occ in _occupant_multisets(d) if len(set(occ)) == letters]
+        got = list(iter_block_relations(n, k, d, occupants=group))
+        assert got == [r for r in rows if len(r) == length], (letters, k)
+        grouped += got
+    assert sorted(grouped) == sorted(rows)
+
+    # exactly the rows whose columns are all marked are dropped; rows with
+    # some columns marked and some not are kept
+    dead = (np.arange(count_block_monomials(n, k)) % 3 != 0).astype(np.uint8)
+    assert list(iter_block_relations(n, k, d, dead=dead)) == [
+        r for r in rows if not all(dead[c] for c in r)
+    ]
+    if any(len(r) > 1 for r in rows):
+        assert any(0 < sum(dead[c] for c in r) < len(r) for r in rows)
+
+    # the mask is read at each (triple, multiset) batch: marking every
+    # column after the first row ends the stream with the first batch
+    fills = (_fill_counts(k, occ) for occ in _occupant_multisets(d))
+    batch = next((len(word_array(r)) for r in fills if r is not None), 0)
+    dead[:] = 0
+    got = []
+    for row in iter_block_relations(n, k, d, dead=dead):
+        got.append(row)
+        dead[:] = 1
+    assert got == rows[:batch]
 
 
 @pytest.mark.parametrize("field", [Q, FieldSpec.prime(1_000_003)])

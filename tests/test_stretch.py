@@ -5,6 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from test_relations import TABLE_BLOCKS
 
 import gsc.sparse
 import gsc.stretch
@@ -49,10 +50,14 @@ def test_pipeline_matches_block_dimension_table(tmp_path):
 
     clear_memory_cache()
     cfg = QuotientConfig(cache_dir=tmp_path / "q")
-    blocks = ((4, (3, 2, 1), 3), (4, (2, 2, 2), 3), (5, (4, 4, 2), 3), (5, (4, 3, 3), 3))
+    blocks = list(TABLE_BLOCKS)
+    assert len(blocks) == 15
+    # the stretch workload's arity-7 block: its one-letter rows kill every column
+    blocks.append((6, (10, 4, 1), 3))
     for field in (FieldSpec.rational(), GFP):
         for n, k, d in blocks:
-            rep = stretch_rank(field, cache_dir=tmp_path / "s", block=StretchBlock(n, k, d))
+            block = StretchBlock(n, k, d)
+            rep = stretch_rank(field, cache_dir=tmp_path / "s", block=block)
             table = block_dimension(n, k, d, field, config=cfg)
             assert rep.rank == table.rank, (n, k, field)
             assert rep.dimension == table.dimension
@@ -60,6 +65,10 @@ def test_pipeline_matches_block_dimension_table(tmp_path):
             # Markowitz elimination, a route that shares none of it
             ech = gsc.sparse.echelon_sparse(assemble_relation_block(n, k, d, field).matrix)
             assert len(ech.pivot_cols) == rep.rank, (n, k, field)
+            # the stream skips rows of dead columns: that is exact only
+            # because a dead column stays a root
+            uf = pickle.loads(_checkpoint_path(tmp_path / "s", block, field.p).read_bytes()).uf
+            assert all(uf.parent[c] == c for c, dead in enumerate(uf.dead) if dead), (n, k, field)
             if k == (4, 3, 3):
                 # 2,060 rows survive the peel: the core engine does real work
                 assert rep.core_rows == 2060 and rep.core_rank > 0
@@ -295,20 +304,26 @@ def state_digest(state) -> str:
     return hashlib.sha256(repr((uf.parent, uf.scale, bytes(uf.dead), state.stash)).encode()).hexdigest()[:16]
 
 
+# merges + deaths and the core are the block's own: they do not depend on
+# the row order, and the one-pass stream in triple-major order gave them too
+PEEL_INVARIANTS = {(4, 4, 2): (3125, (80, 19)), (4, 3, 3): (3955, (2060, 229))}
+
+
 @pytest.mark.parametrize(
     "k, p, stream_end, sweeps, final, core, digest",
     [
         # k, p: (rows, merges, deaths, stash) at the end of the stream; the
         # stash after each peel sweep; final (merges, deaths); core (rows,
         # rank); a digest of the saved classes and stash
-        ((4, 4, 2), GFP.p, (10500, 1378, 1693, 4122), (224, 80), (1432, 1693), (80, 19), "bdc6e6bc4550520a"),
-        ((4, 4, 2), None, (10500, 1378, 1693, 4122), (224, 80), (1432, 1693), (80, 19), "e194ee821bf0a63f"),
-        ((4, 3, 3), GFP.p, (13300, 1731, 1865, 7159), (2606, 2060), (2090, 1865), (2060, 229), "a8ad88df20827a79"),
-        ((4, 3, 3), None, (13300, 1731, 1865, 7159), (2608, 2060), (2090, 1865), (2060, 229), "5cbe68cc1537d83b"),
+        ((4, 4, 2), GFP.p, (6930, 1115, 2010, 935), (80,), (1115, 2010), (80, 19), "a42ca0ebf4663a8f"),
+        ((4, 4, 2), None, (6930, 1115, 2010, 935), (80,), (1115, 2010), (80, 19), "04bb5f7b33e2c8a3"),
+        ((4, 3, 3), GFP.p, (10072, 1843, 2096, 3710), (2068, 2060), (1859, 2096), (2060, 229), "3120dde8cacdb49e"),
+        ((4, 3, 3), None, (10072, 1843, 2096, 3710), (2070, 2060), (1859, 2096), (2060, 229), "0809d6d074cb28c6"),
     ],
 )
 def test_peel_counters_are_pinned(tmp_path, k, p, stream_end, sweeps, final, core, digest):
-    # the row order, the stash order and the absorb rule all show in these
+    # the row order, the dead-row skip, the stash order and the absorb rule
+    # all show in these
     block = StretchBlock(5, k, 3)
     field = FieldSpec.rational() if p is None else FieldSpec.prime(p)
     messages = []
@@ -317,12 +332,13 @@ def test_peel_counters_are_pinned(tmp_path, k, p, stream_end, sweeps, final, cor
     pivots = sum(final) - merges - deaths
     assert messages == [
         f"stream done: {rows} rows, merges {merges}, deaths {deaths}, stash {stash}",
-        f"peel sweep 1: +{pivots} pivots, stash {sweeps[0]}",
-        f"peel sweep 2: +0 pivots, stash {sweeps[1]}",
+        # every pivot the peel adds comes in its first sweep, and the last adds none
+        *(f"peel sweep {i}: +{pivots if i == 1 else 0} pivots, stash {s}" for i, s in enumerate(sweeps, 1)),
         f"core: {core[0]} rows on {rep.n_columns - sum(final)} classes, rank {core[1]}",
     ]
     state = pickle.loads(_checkpoint_path(tmp_path, block, p).read_bytes())
     assert (state.merges, state.deaths) == final
     assert (rep.core_rows, rep.core_rank) == core
     assert rep.peel_rank == sum(final) and rep.rank == sum(final) + core[1]
+    assert (sum(final), core) == PEEL_INVARIANTS[k]
     assert state_digest(state) == digest
