@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from .classical import LawReport, OperadModel, check_operad_axioms, random_terms
 from .errors import BadPosition, ShapeMismatch
-from .tensor import RectElement, RectMonomial, _merge_terms
+from .elements import RectElement, RectMonomial, _merge_terms
 
 
 def _splice_rows(a: RectMonomial, i: int, c: RectMonomial) -> RectMonomial:

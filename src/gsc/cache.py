@@ -17,11 +17,15 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import ShapeMismatch
 from .fields import FieldSpec
-from .sparse import EchelonForm, SparseMatrix, read_matrix_text, write_matrix_text
+from .sparse import SparseMatrix
 from .tensor import count_block_monomials
+
+if TYPE_CHECKING:
+    from .echelon import EchelonForm
 
 # Older schemas live under v1/ and v2/ and are never read: schema 1
 # reports could hold a multi-prime upper bound for a rational request,
@@ -94,6 +98,9 @@ class BlockCache:
         path = self.report_path(d, n, k, field)
         _atomic_write(path, json.dumps(report, sort_keys=True, indent=1) + "\n")
 
+    # The echelon methods import the echelon route and the text format
+    # when called: only normal forms use them, and a rank run never does.
+
     def load_echelon(self, d, n, k, field) -> EchelonForm | None:
         """The cached echelon form of the block, or None on a miss.
 
@@ -104,6 +111,9 @@ class BlockCache:
         text reader gives Fractions; integer entries come back as ints,
         as elimination gives them.
         """
+        from .echelon import EchelonForm
+        from .matrix_text import read_matrix_text
+
         base = _key_dir(self.root, d, n, k, field)
         meta_path = base / "echelon.json"
         mtx_path = base / "echelon.mtx"
@@ -136,6 +146,8 @@ class BlockCache:
         return EchelonForm(n_cols=matrix.n_cols, field=field, pivot_cols=pivots, rows=rows)
 
     def store_echelon(self, d, n, k, field, ech: EchelonForm) -> None:
+        from .matrix_text import write_matrix_text
+
         base = _key_dir(self.root, d, n, k, field)
         matrix = SparseMatrix(
             n_rows=ech.rank, n_cols=ech.n_cols, field=ech.field, rows=ech.rows

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .errors import BadPosition, ShapeMismatch
-from .tensor import _Element, _merge_terms
+from .elements import _Element, _merge_terms
 
 Word = tuple[int, ...]
 

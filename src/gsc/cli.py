@@ -1,5 +1,9 @@
 """Command-line surface: dimension tables, verification, law suites,
-normal forms, and matrix export for external cross-checks."""
+normal forms, and matrix export for external cross-checks.
+
+Each command imports what it runs when it runs, so a command loads
+neither the acceptance criteria nor the law suites unless it needs them.
+"""
 
 from __future__ import annotations
 
@@ -11,15 +15,8 @@ import sys
 import click
 
 from . import __version__
-from .acceptance import AcceptanceContext, run_criteria
-from .bioperad import check_bioperad_laws
-from .classical import EXTERIOR_MODEL, SYMMETRIC_MODEL, TENSOR_MODEL, check_operad_axioms
-from .diamond import check_gsc_axioms
 from .errors import GscError, ResourceLimit
 from .fields import FieldSpec
-from .quotient import QuotientConfig, quotient_reduce, total_dimension
-from .relations import write_block_matrix_text
-from .tensor import element_from_json_text
 
 CSV_COLUMNS = (
     "d",
@@ -119,8 +116,12 @@ def main() -> None:
 @cache_option
 def cmd_dims(d, max_arity, field, per_block, no_shortcut, fmt, cache_dir):
     """Total and per-block quotient dimensions for arities 1..max."""
+    from .quotient import QuotientConfig, total_dimension
+
     if d < 1:
         raise click.UsageError("--d must be >= 1")
+    if max_arity is not None and max_arity < 1:
+        raise click.UsageError("--max-arity must be >= 1")
     fieldspec = _parse_field(field)
     max_arity = max_arity if max_arity is not None else 2 * d + 1
     cfg = QuotientConfig(cache_dir=cache_dir, no_shortcut=no_shortcut)
@@ -148,6 +149,8 @@ def cmd_dims(d, max_arity, field, per_block, no_shortcut, fmt, cache_dir):
 @cache_option
 def cmd_verify_paper(seed, trials, stretch, cache_dir):
     """Recompute every published value over Q and print pass/fail per claim."""
+    from .criteria import AcceptanceContext, run_criteria
+
     ctx = AcceptanceContext(
         cache_dir=cache_dir, trials=trials, seed=seed, include_stretch=stretch
     )
@@ -166,6 +169,10 @@ def cmd_verify_paper(seed, trials, stretch, cache_dir):
 @click.option("--seed", type=int, default=42, show_default=True)
 def cmd_axioms(trials, seed):
     """Randomized law suites for every algebraic structure built here."""
+    from .bioperad import check_bioperad_laws
+    from .classical import EXTERIOR_MODEL, SYMMETRIC_MODEL, TENSOR_MODEL, check_operad_axioms
+    from .diamond import check_gsc_axioms
+
     if trials < 1:
         raise click.UsageError("--trials must be >= 1")
     reports = [
@@ -191,6 +198,10 @@ def cmd_axioms(trials, seed):
 @cache_option
 def cmd_reduce(input_path, d, field, no_shortcut, fmt, cache_dir):
     """Normal form of a triangular element given as a JSON document."""
+    from .echelon import quotient_reduce
+    from .elements import element_from_json_text
+    from .quotient import QuotientConfig
+
     fieldspec = _parse_field(field)
     try:
         with open(input_path) as fh:
@@ -250,6 +261,8 @@ def cmd_reduce(input_path, d, field, no_shortcut, fmt, cache_dir):
 @click.option("--output", "-o", "output_path", required=True, type=click.Path(dir_okay=False))
 def cmd_export(n, k, d, field, output_path):
     """Write one block's relation matrix in the text interchange format."""
+    from .matrix_text import write_block_matrix_text
+
     fieldspec = _parse_field(field)
     kk = _parse_multidegree(k)
     try:

@@ -20,10 +20,11 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
 
+from .echelon import LiftedFunctional, lift_two_alternating
+from .elements import expand_multilinear
 from .errors import ShapeMismatch
 from .fields import FieldSpec
-from .quotient import LiftedFunctional, lift_two_alternating
-from .tensor import TriMonomial, expand_multilinear
+from .tensor import TriMonomial
 
 # Positions of the six entries, in canonical order.
 PAIR_POSITIONS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))

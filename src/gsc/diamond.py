@@ -21,14 +21,8 @@ import random
 from .bioperad import random_rect_element, row_compose, col_compose, transpose
 from .classical import LawReport, random_terms
 from .errors import BadPosition, ShapeMismatch
-from .tensor import (
-    RectElement,
-    RectMonomial,
-    TriElement,
-    TriMonomial,
-    _merge_terms,
-    triangle_positions,
-)
+from .elements import RectElement, RectMonomial, TriElement, _merge_terms
+from .tensor import TriMonomial, triangle_positions
 
 
 def diamond_monomial(

@@ -1,4 +1,4 @@
-"""Quotient dimensions, normal forms, and functional lifts.
+"""Quotient dimensions, block by block.
 
 The quotient of the arity-(n+1) triangular space by the relation span
 decomposes over multidegree blocks; each block's dimension is the
@@ -6,29 +6,21 @@ monomial count minus the rank of its relation matrix.  Blocks where some
 letter count reaches the triangle side are dimension 0 outright (a
 monomial with a letter repeated size-many times already lies in the
 span); the shortcut can be disabled to verify the zeros by elimination.
+Normal forms, bases and functional lifts are in :mod:`gsc.echelon`.
 """
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
 
 from .cache import BlockCache, warn_ignored
-from .errors import ResourceLimit, ShapeMismatch
+from .errors import ResourceLimit
 from .fields import FieldSpec
-from .relations import assemble_relation_block, block_rows
-from .sparse import EchelonForm, check_columns, echelon_sparse, rank_sparse
-from .tensor import (
-    MultiDegree,
-    TriElement,
-    TriMonomial,
-    count_block_monomials,
-    enumerate_block_monomials,
-    multidegree_of,
-    multidegrees,
-    n_triangle_entries,
-)
+from .relations import assemble_relation_block
+from .sparse import check_columns, rank_sparse
+from .tensor import MultiDegree, count_block_monomials, multidegrees, n_triangle_entries
+from .tensor import enumerate_block_monomials  # noqa: F401  unused here; perfbench/spans.py wraps this name
 
 
 @dataclass(frozen=True)
@@ -207,6 +199,8 @@ def block_dimension(
 
 @dataclass(frozen=True)
 class ArityDimension:
+    """The quotient dimension at one arity and the blocks that sum to it."""
+
     arity: int
     total: int
     blocks: tuple[BlockReport, ...]
@@ -238,229 +232,3 @@ def total_dimension(
     return ArityDimension(
         arity=m, total=sum(b.dimension for b in blocks), blocks=tuple(blocks)
     )
-
-
-# ---------------------------------------------------------------------------
-# Echelon data and normal forms
-
-
-def block_echelon(
-    n: int,
-    k: MultiDegree,
-    d: int,
-    field: FieldSpec,
-    config: QuotientConfig | None = None,
-) -> EchelonForm:
-    """Echelon form of a block's relation matrix (cached).
-
-    A block too wide to eliminate is refused before it is assembled.
-    """
-    cfg = config or QuotientConfig()
-    k = tuple(k)
-    key = ("echelon", d, n, k, field)
-    hit = _MEM_CACHE.get(key)
-    if hit is not None:
-        return hit
-    cache = cfg.cache()
-    ech = cache.load_echelon(d, n, k, field)
-    if ech is None:
-        try:
-            check_columns(count_block_monomials(n, k))
-            block = assemble_relation_block(n, k, d, field)
-            ech = echelon_sparse(block.matrix)
-        except ResourceLimit as exc:
-            raise ResourceLimit(f"block n={n} k={k} over {field}: {exc}") from exc
-        cache.store_echelon(d, n, k, field, ech)
-    _MEM_CACHE.setdefault(key, ech)
-    return ech
-
-
-@dataclass(frozen=True)
-class BlockReduction:
-    k: MultiDegree
-    coordinates: tuple[tuple[TriMonomial, object], ...]  # over non-pivot monomials
-    pruned: bool
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coordinates
-
-
-@dataclass(frozen=True)
-class ReduceResult:
-    size: int
-    blocks: tuple[BlockReduction, ...]
-
-    @property
-    def is_zero(self) -> bool:
-        return all(b.is_zero for b in self.blocks)
-
-
-def quotient_reduce(
-    x: TriElement,
-    d: int,
-    field: FieldSpec,
-    config: QuotientConfig | None = None,
-) -> ReduceResult:
-    """Normal form of x: per-block coordinates over non-pivot monomials.
-
-    Splits x by multidegree; each component is reduced against the
-    block's echelon form.  Blocks with a letter count >= size are zero
-    outright (quotient dimension 0) unless shortcuts are disabled.
-    """
-    cfg = config or QuotientConfig()
-    parts: dict[MultiDegree, dict[TriMonomial, object]] = {}
-    for mono, coeff in x.terms.items():
-        k = multidegree_of(mono, d)
-        parts.setdefault(k, {})[mono] = coeff
-    reductions = []
-    for k in sorted(parts, reverse=True):
-        component = parts[k]
-        if block_pruned(x.size, k):
-            if not cfg.no_shortcut:
-                reductions.append(BlockReduction(k=k, coordinates=(), pruned=True))
-                continue
-            # verify rather than assume: a full-column-rank block reduces
-            # everything to zero, established by elimination (rank only,
-            # cheaper than materializing the echelon form)
-            rep = block_dimension(x.size, k, d, field, config=cfg)
-            if rep.dimension == 0:
-                reductions.append(BlockReduction(k=k, coordinates=(), pruned=False))
-                continue
-        ech = block_echelon(x.size, k, d, field, cfg)
-        monomials = enumerate_block_monomials(x.size, k)
-        index = {m: c for c, m in enumerate(monomials)}
-        vec = {index[m]: field.convert(c) for m, c in component.items()}
-        residual = ech.reduce_vector(vec)
-        coords = tuple(
-            (monomials[c], residual[c]) for c in sorted(residual)
-        )
-        reductions.append(BlockReduction(k=k, coordinates=coords, pruned=False))
-    return ReduceResult(size=x.size, blocks=tuple(reductions))
-
-
-def quotient_basis(
-    n: int,
-    k: MultiDegree,
-    d: int,
-    field: FieldSpec,
-    config: QuotientConfig | None = None,
-) -> list[TriMonomial]:
-    """The non-pivot monomials of a block, in canonical order."""
-    ech = block_echelon(n, k, d, field, config)
-    monomials = enumerate_block_monomials(n, k)
-    return [monomials[c] for c in ech.non_pivot_cols()]
-
-
-# ---------------------------------------------------------------------------
-# Vanishing sampling
-
-
-@dataclass(frozen=True)
-class VanishingReport:
-    n: int
-    d: int
-    samples: int
-    failures: tuple[TriMonomial, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def repeated_letter_vanishing_check(
-    n: int,
-    d: int,
-    samples: int,
-    seed: int,
-    field: FieldSpec | None = None,
-    config: QuotientConfig | None = None,
-) -> VanishingReport:
-    """Monomials with some letter repeated >= n times reduce to zero.
-
-    Samples such monomials of size n uniformly-ish and asserts the
-    quotient normal form vanishes for each.
-    """
-    if n < 3:
-        raise ValueError("size must be >= 3")
-    field = field or FieldSpec.rational()
-    cfg = config or QuotientConfig()
-    rng = random.Random(seed)
-    n_pos = n_triangle_entries(n)
-    failures = []
-    for _ in range(samples):
-        letter = rng.randint(1, d)
-        count = rng.randint(n, n_pos)
-        slots = rng.sample(range(n_pos), count)
-        entries = [0] * n_pos
-        for s in slots:
-            entries[s] = letter
-        others = [v for v in range(1, d + 1) if v != letter]
-        for t in range(n_pos):
-            if entries[t] == 0:
-                entries[t] = rng.choice(others) if others else letter
-        mono = TriMonomial(n, tuple(entries))
-        res = quotient_reduce(TriElement.monomial(mono), d, field, cfg)
-        if not res.is_zero:
-            failures.append(mono)
-    return VanishingReport(n=n, d=d, samples=samples, failures=tuple(failures))
-
-
-# ---------------------------------------------------------------------------
-# Universal-property lift
-
-
-class LiftedFunctional:
-    """A functional on quotient coordinates, induced by a functional on
-    monomials that annihilates every relation row."""
-
-    def __init__(self, phi, n, d, field):
-        self._phi = phi
-        self.n = n
-        self.d = d
-        self.field = field
-
-    def value_on_monomial(self, m: TriMonomial):
-        return self.field.convert(self._phi(m))
-
-    def evaluate(self, x: TriElement):
-        """Well-defined on the quotient: the lift composed with the
-        projection agrees with the original functional."""
-        if x.size != self.n:
-            raise ShapeMismatch(f"element size {x.size} != functional size {self.n}")
-        total = self.field.zero()
-        for mono, coeff in x.terms.items():
-            total = self.field.add(
-                total,
-                self.field.mul(self.field.convert(coeff), self.value_on_monomial(mono)),
-            )
-        return total
-
-
-def lift_two_alternating(
-    phi,
-    n: int,
-    d: int,
-    field: FieldSpec,
-) -> LiftedFunctional:
-    """Lift a monomial functional through the quotient projection.
-
-    ``phi`` maps size-n monomials to scalars.  Verifies that phi
-    annihilates every relation row of every block; raises
-    :class:`NotTwoAlternating` with the violating row otherwise.
-    """
-    from .errors import NotTwoAlternating
-
-    for k in multidegrees(n_triangle_entries(n), d):
-        monomials = enumerate_block_monomials(n, k)
-        values = [field.convert(phi(m)) for m in monomials]
-        for row in block_rows(n, k, d):
-            total = field.zero()
-            for c in row:
-                total = field.add(total, values[c])
-            if total != field.zero():
-                raise NotTwoAlternating(
-                    f"functional does not annihilate a relation row in block {k}",
-                    row=tuple((monomials[c], 1) for c in row),
-                )
-    return LiftedFunctional(phi, n, d, field)

@@ -28,13 +28,13 @@ import numpy as np
 
 from .errors import DegreeMismatch
 from .fields import FieldSpec
-from .sparse import SparseMatrix, write_matrix_rows
+from .sparse import SparseMatrix
 from .tensor import (
     MultiDegree,
     TriMonomial,
     _triangle_offset,
     _words_with_counts,
-    count_block_monomials,
+    check_multidegree,
     enumerate_block_monomials,
     multidegrees,
     n_triangle_entries,
@@ -115,11 +115,9 @@ def _triangle_relations(size: int, k: MultiDegree, d: int) -> Iterator[TriangleR
 
 
 def _check_block(size: int, k: MultiDegree, d: int) -> None:
-    n_pos = n_triangle_entries(size)
     if len(k) != d:
         raise DegreeMismatch(f"multidegree {k} has {len(k)} letters, not d = {d}")
-    if sum(k) != n_pos or any(x < 0 for x in k):
-        raise DegreeMismatch(f"multidegree {k} does not sum to {n_pos}")
+    check_multidegree(size, k)
 
 
 def iter_block_relations(
@@ -232,32 +230,6 @@ def assemble_relation_block(n: int, k: MultiDegree, d: int, field: FieldSpec) ->
         monomials=tuple(monomials),
         matrix=matrix,
     )
-
-
-def write_block_matrix_text(
-    n: int,
-    k: MultiDegree,
-    d: int,
-    field: FieldSpec,
-    path,
-) -> tuple[int, int]:
-    """Write one block's relation matrix to ``path`` in the text format.
-
-    Returns (rows, cols).  Unlike :func:`assemble_relation_block` this
-    never materializes the monomial list or the matrix: columns come
-    from the combinatorial ranking and rows from :func:`block_rows`.
-    The output is byte-identical to ``write_matrix_text`` of the
-    assembled block; ``gsc export`` writes every block this way.
-    """
-    k = tuple(k)
-    _check_block(n, k, d)
-    n_cols = count_block_monomials(n, k)
-    # opened before the rows are built, so a bad path fails fast
-    with open(path, "w", newline="") as out:
-        rows = block_rows(n, k, d)
-        # every entry is 1, whose text is the same in every field
-        write_matrix_rows(out, len(rows), n_cols, field, (zip(row, repeat(1)) for row in rows))
-    return len(rows), n_cols
 
 
 def block_row_count(size: int, k: MultiDegree, d: int) -> int:

@@ -20,13 +20,10 @@ from itertools import combinations_with_replacement, permutations, product
 
 from .diamond import diamond
 from .errors import ResourceLimit
+from .elements import RectElement, RectMonomial, TriElement, expand_multilinear
 from .tensor import (
     MultiDegree,
-    RectElement,
-    RectMonomial,
-    TriElement,
     TriMonomial,
-    expand_multilinear,
     multidegree_of,
     n_triangle_entries,
     triangle_positions,

@@ -11,9 +11,10 @@ chosen within the leftmost eligible column.  The open block's stretch
 run streams its rows through the same union-find and ranks its core
 through the same helper.
 
-The forward echelon form, which gives the normal forms, is pure
-Markowitz elimination of the whole matrix, so it shares no code with
-the peel and is an independent route to the same rank.  Elimination is
+The forward echelon form, which gives the normal forms, lives in
+:mod:`gsc.echelon`: pure Markowitz elimination of the whole matrix,
+which shares no code with the peel and is an independent route to the
+same rank, so a rank run never loads it.  Elimination is
 exact over every field and deterministic.  Over Q it is fraction-free
 (Bareiss): rows enter as primitive integer rows (relation rows arrive as
 the int 1, the unit of every field, and enter unchanged) and a unit pivot
@@ -26,12 +27,11 @@ its column from the rows below it.
 from __future__ import annotations
 
 import heapq
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator
 
 from .errors import ResourceLimit, ShapeMismatch
 from .fields import FieldSpec
@@ -107,56 +107,6 @@ class SparseMatrix:
         for i, row in enumerate(self.rows):
             for c, v in row:
                 yield i, c, v
-
-
-@dataclass(frozen=True)
-class EchelonForm:
-    """Row-echelon data: rank, pivot columns, and one row per pivot.
-
-    Pivot columns are strictly increasing and each row, stored sparse
-    and aligned with ``pivot_cols``, begins at its pivot column, so it
-    has no entry in any earlier pivot column.  Elimination gives integer
-    rows over Q and rows with pivot 1 over GF(p); a reduced echelon form
-    is an echelon form too, and gives the same normal forms.
-    """
-
-    n_cols: int
-    field: FieldSpec
-    pivot_cols: tuple[int, ...]
-    rows: tuple[tuple[tuple[int, object], ...], ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_cols)
-
-    def non_pivot_cols(self) -> list[int]:
-        pivots = set(self.pivot_cols)
-        return [c for c in range(self.n_cols) if c not in pivots]
-
-    def reduce_vector(self, vec: dict[int, object]) -> dict[int, object]:
-        """Residual of ``vec`` modulo the row space; exact.
-
-        The pivots are walked in order, clearing each pivot column in
-        turn; a row touches no earlier pivot column, so one pass leaves
-        the unique vector on the non-pivot columns that is congruent to
-        ``vec``.
-        """
-        f = self.field
-        p = f.p
-        out = {c: f.convert(v) for c, v in vec.items() if v != 0}
-        for c, row in zip(self.pivot_cols, self.rows):
-            a = out.get(c)
-            if not a:
-                continue
-            v = row[0][1]
-            t = a * pow(v, p - 2, p) % p if p else a / v
-            for cc, vv in row:
-                newv = f.sub(out.get(cc, 0), f.mul(t, vv))
-                if newv:
-                    out[cc] = newv
-                else:
-                    out.pop(cc, None)
-        return {c: v for c, v in out.items() if v}
 
 
 def check_columns(n_cols: int) -> None:
@@ -510,79 +460,3 @@ def rank_sparse(m: SparseMatrix) -> int:
     stash = sorted(uf.sweep(sorted(m.rows, key=len), uf.reduce_row_items)[0])
     _peel(uf, stash)
     return uf.merges + uf.deaths + _core_rank(stash, m.field)
-
-
-def echelon_sparse(m: SparseMatrix) -> EchelonForm:
-    """Forward echelon form of ``m``; row space preserved."""
-    _check_limits(m)
-    pivot_cols, pivot_rows = _sparse_eliminate(m)
-    return EchelonForm(
-        n_cols=m.n_cols,
-        field=m.field,
-        pivot_cols=tuple(pivot_cols),
-        rows=tuple(tuple(sorted(r.items())) for r in pivot_rows),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Text interchange format
-#
-# Header "R C M" (M = 0 means rational), one line "r c v" per entry with
-# 1-based indices, terminator "0 0 0".  LF line endings, single spaces.
-
-
-def _scalar_to_text(v) -> str:
-    if isinstance(v, Fraction) and v.denominator != 1:
-        return f"{v.numerator}/{v.denominator}"
-    return str(int(v))
-
-
-def _scalar_from_text(s: str):
-    if "/" in s:
-        a, b = s.split("/")
-        return Fraction(int(a), int(b))
-    return int(s)
-
-
-def write_matrix_rows(out: TextIO, n_rows: int, n_cols: int, field: FieldSpec, rows) -> None:
-    """Stream a matrix to the text file ``out``, one row of pairs at a time.
-
-    ``rows`` yields ``n_rows`` rows of (col, value) pairs, in order.
-    """
-    modulus = 0 if field.is_rational else field.p
-    out.write(f"{n_rows} {n_cols} {modulus}\n")
-    last = text = None  # formatting is the slow part: reuse it for a repeated value
-    for r, row in enumerate(rows, 1):
-        for c, v in row:
-            if v is not last:
-                last, text = v, _scalar_to_text(v)
-            out.write(f"{r} {c + 1} {text}\n")
-    out.write("0 0 0\n")
-
-
-def write_matrix_text(m: SparseMatrix) -> str:
-    out = io.StringIO()
-    write_matrix_rows(out, m.n_rows, m.n_cols, m.field, m.rows)
-    return out.getvalue()
-
-
-def read_matrix_text(text: str) -> SparseMatrix:
-    lines = text.splitlines()
-    if not lines:
-        raise ValueError("empty matrix file")
-    n_rows, n_cols, modulus = (int(x) for x in lines[0].split())
-    field = FieldSpec.rational() if modulus == 0 else FieldSpec.prime(modulus)
-    entries = []
-    terminated = False
-    for ln in lines[1:]:
-        ln = ln.strip()
-        if not ln:
-            continue
-        r, c, v = ln.split()
-        if r == "0" and c == "0" and v == "0":
-            terminated = True
-            break
-        entries.append((int(r) - 1, int(c) - 1, _scalar_from_text(v)))
-    if not terminated:
-        raise ValueError("missing '0 0 0' terminator")
-    return SparseMatrix.from_entries(n_rows, n_cols, field, entries)

@@ -70,6 +70,8 @@ STRETCH_D = 3
 
 @dataclass(frozen=True)
 class StretchBlock:
+    """One multidegree block: triangle size n, letter counts k, dim V = d."""
+
     n: int = STRETCH_N
     k: tuple[int, ...] = STRETCH_K
     d: int = STRETCH_D
@@ -106,6 +108,8 @@ def stretch_column_count() -> int:
 
 @dataclass
 class StretchState:
+    """What a checkpoint holds: the union-find and the stash of a run."""
+
     schema: int
     p: int | None
     block: StretchBlock
@@ -188,6 +192,8 @@ def _load(cache_dir, block: StretchBlock, p: int | None, progress=None) -> Stret
 
 @dataclass(frozen=True)
 class StretchReport:
+    """The rank of a finished run, split into its peel and core parts."""
+
     p: int | None  # None: the run was exact over the rationals
     n_columns: int
     peel_rank: int

@@ -10,7 +10,7 @@ from gsc.bioperad import (
     transpose,
 )
 from gsc.errors import BadPosition, ShapeMismatch
-from gsc.tensor import RectElement, RectMonomial
+from gsc.elements import RectElement, RectMonomial
 
 
 def mono(rows):

@@ -7,9 +7,9 @@ import pytest
 
 from gsc.cache import BlockCache, resolve_cache_dir
 from gsc.fields import FieldSpec
-from gsc.quotient import QuotientConfig, block_dimension, block_echelon, clear_memory_cache
+from gsc.echelon import EchelonForm, block_echelon, echelon_sparse
+from gsc.quotient import QuotientConfig, block_dimension, clear_memory_cache
 from gsc.relations import assemble_relation_block
-from gsc.sparse import EchelonForm, echelon_sparse
 
 Q = FieldSpec.rational()
 

@@ -4,7 +4,8 @@ import pytest
 from click.testing import CliRunner
 
 from gsc.cli import main
-from gsc.tensor import TriElement, TriMonomial, element_to_json_text
+from gsc.elements import TriElement, element_to_json_text
+from gsc.tensor import TriMonomial
 
 
 @pytest.fixture()
@@ -96,6 +97,16 @@ def test_dims_usage_errors(runner):
     assert invoke(runner, ["dims", "--d", "2", "--variant", "3"]).exit_code == 2
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("max_arity", ["0", "-2"])
+def test_dims_max_arity_below_one_is_a_usage_error(runner, tmp_path, max_arity, fmt):
+    args = ["dims", "--d", "2", "--max-arity", max_arity, "--format", fmt,
+            "--cache-dir", str(tmp_path)]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert "--max-arity must be >= 1" in res.output
+
+
 def test_verify_paper_has_no_field_option(runner):
     # verify-paper is exact over Q, so a field is a usage error
     assert invoke(runner, ["verify-paper", "--field", "prime:5"]).exit_code == 2
@@ -165,7 +176,8 @@ def test_reduce_spanning_monomial(runner, tmp_path):
 
 
 def test_reduce_generator_image_is_zero(runner, tmp_path):
-    from gsc.tensor import expand_multilinear, triangle_positions
+    from gsc.elements import expand_multilinear
+    from gsc.tensor import triangle_positions
 
     g = expand_multilinear(3, {p: (1, 1) for p in triangle_positions(3)}, 2)
     path = tmp_path / "gen.json"
@@ -199,7 +211,7 @@ def test_export_block_and_round_trip(runner, tmp_path):
     assert text.splitlines()[0] == "1 3 0"
     assert text.endswith("0 0 0\n")
 
-    from gsc.sparse import read_matrix_text
+    from gsc.matrix_text import read_matrix_text
 
     m = read_matrix_text(text)
     assert (m.n_rows, m.n_cols) == (1, 3)
@@ -212,6 +224,15 @@ def test_export_io_error_exit_2(runner, tmp_path):
          str(tmp_path / "missing" / "x.mtx")],
     )
     assert res.exit_code == 2
+
+
+def test_export_names_a_negative_letter_count(runner, tmp_path):
+    # (-1, 7) sums to 6, the entry count of a size-4 triangle
+    out = tmp_path / "x.mtx"
+    res = runner.invoke(main, ["export", "--n", "4", "--k", "-1,7", "--d", "2", "-o", str(out)])
+    assert res.exit_code == 2
+    assert "negative letter count -1" in res.output and "sum" not in res.output
+    assert not out.exists()
 
 
 def test_export_bad_multidegree_usage(runner, tmp_path):
@@ -255,7 +276,7 @@ def test_verify_paper_exit_one_on_mismatch(runner, monkeypatch):
                 reporter(r.line())
         return results
 
-    monkeypatch.setattr("gsc.cli.run_criteria", fake_run)
+    monkeypatch.setattr("gsc.criteria.run_criteria", fake_run)
     res = runner.invoke(main, ["verify-paper"])
     assert res.exit_code == 1
     assert "FAIL" in res.output and "0/1 claims pass" in res.output
@@ -266,7 +287,7 @@ def test_axioms_exit_one_on_mutated_build(runner, monkeypatch):
     from gsc.diamond import check_gsc_axioms as real_check
 
     monkeypatch.setattr(
-        "gsc.cli.check_gsc_axioms",
+        "gsc.diamond.check_gsc_axioms",
         lambda trials, seed: real_check(trials, seed, transpose_fn=_mutated_transpose),
     )
     res = runner.invoke(main, ["axioms", "--trials", "150", "--seed", "42"])

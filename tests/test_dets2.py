@@ -16,8 +16,10 @@ from gsc.dets2 import (
     monomial_functional,
 )
 from gsc.errors import ShapeMismatch
-from gsc.quotient import QuotientConfig, clear_memory_cache, quotient_reduce
-from gsc.tensor import TriElement, TriMonomial
+from gsc.echelon import quotient_reduce
+from gsc.elements import TriElement
+from gsc.quotient import QuotientConfig, clear_memory_cache
+from gsc.tensor import TriMonomial
 
 
 @pytest.fixture()
@@ -80,14 +82,15 @@ def test_functional_kills_repeated_letters(cfg):
 
 
 def test_functional_kills_reduced_zeros(cfg):
-    from gsc.tensor import expand_multilinear, triangle_positions
+    from gsc.elements import expand_multilinear
+    from gsc.tensor import triangle_positions
 
     f = det_s2_functional()
     g = expand_multilinear(3, {p: (1, -2) for p in triangle_positions(3)}, 2)
     # push the size-3 generator image to size 4 by inserting the arity-2
     # element at slot 4 with a bridging column
     from gsc.diamond import diamond, generator_element
-    from gsc.tensor import RectElement, RectMonomial
+    from gsc.elements import RectElement, RectMonomial
 
     col = RectElement.monomial(RectMonomial.from_rows([[2], [1], [2]]))
     x = diamond(g, 4, generator_element(), col)
@@ -100,7 +103,7 @@ def test_one_dimensional_proportionality(cfg):
     """On a rank-1 dual space the functional is its basis value times
     the reduction coordinate for every element."""
     rng = random.Random(3)
-    from gsc.quotient import quotient_basis
+    from gsc.echelon import quotient_basis
 
     f = det_s2_functional()
     (q,) = quotient_basis(4, (3, 3), 2, f.field, config=cfg)

@@ -11,13 +11,8 @@ from gsc.diamond import (
     unit_element,
 )
 from gsc.errors import BadPosition, ShapeMismatch
-from gsc.tensor import (
-    RectElement,
-    RectMonomial,
-    TriElement,
-    TriMonomial,
-    multidegree_of,
-)
+from gsc.elements import RectElement, RectMonomial, TriElement
+from gsc.tensor import TriMonomial, multidegree_of
 
 A, B = 1, 2
 

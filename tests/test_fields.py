@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from gsc.fields import MULTI_PRIME_SET, FieldSpec, is_prime
-from gsc.sparse import read_matrix_text
+from gsc.matrix_text import read_matrix_text
 
 
 def test_default_primes_are_prime():

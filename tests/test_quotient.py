@@ -3,27 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from gsc.errors import NotTwoAlternating
-from gsc.fields import FieldSpec
-from gsc.quotient import (
-    QuotientConfig,
-    block_dimension,
+from gsc.echelon import (
     block_echelon,
-    clear_memory_cache,
     lift_two_alternating,
     quotient_basis,
     quotient_reduce,
     repeated_letter_vanishing_check,
-    total_dimension,
 )
+from gsc.elements import TriElement, expand_multilinear
+from gsc.errors import NotTwoAlternating
+from gsc.fields import FieldSpec
+from gsc.quotient import QuotientConfig, block_dimension, clear_memory_cache, total_dimension
 from gsc.relations import block_rows
-from gsc.tensor import (
-    TriElement,
-    TriMonomial,
-    enumerate_block_monomials,
-    expand_multilinear,
-    triangle_positions,
-)
+from gsc.tensor import TriMonomial, enumerate_block_monomials, triangle_positions
 
 Q = FieldSpec.rational()
 
@@ -241,8 +233,6 @@ def test_published_blocks_agree_across_fields(cfg):
 
 
 def test_rref_of_pair_block_is_all_ones_row(cfg):
-    from gsc.quotient import block_echelon
-
     ech = block_echelon(3, (2, 1), 2, Q, config=cfg)
     assert ech.rank == 1
     assert ech.pivot_cols == (0,)
@@ -253,18 +243,18 @@ def test_reduce_refuses_wide_block_before_assembly(cfg, monkeypatch):
     # a normal form needs the block's echelon form; a block too wide to
     # eliminate is refused from its column count, naming the block, before
     # any of its rows are built
-    import gsc.quotient as quotient
+    import gsc.echelon as echelon
     from gsc.errors import ResourceLimit
 
     assembled = []
-    real_assemble = quotient.assemble_relation_block
+    real_assemble = echelon.assemble_relation_block
 
     def recording_assemble(n, k, *args, **kwargs):
         assembled.append((n, tuple(k)))
         return real_assemble(n, k, *args, **kwargs)
 
     monkeypatch.setattr("gsc.sparse.MAX_COLUMNS", 50)
-    monkeypatch.setattr(quotient, "assemble_relation_block", recording_assemble)
+    monkeypatch.setattr(echelon, "assemble_relation_block", recording_assemble)
     x = TriElement.monomial(TriMonomial(4, (1, 1, 2, 2, 3, 3)))  # 90 columns
     with pytest.raises(ResourceLimit, match=r"block n=4 k=\(2, 2, 2\) over Q"):
         quotient_reduce(x, 3, Q, cfg)

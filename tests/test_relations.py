@@ -16,9 +16,8 @@ from gsc.relations import (
     block_rows,
     iter_block_relations,
     relation_generators,
-    write_block_matrix_text,
 )
-from gsc.sparse import write_matrix_text
+from gsc.matrix_text import write_block_matrix_text, write_matrix_text
 from gsc.tensor import (
     TriMonomial,
     enumerate_block_monomials,
@@ -178,6 +177,13 @@ def test_degree_mismatch_rejected():
         block_rows(3, (1, 1), 2)
     with pytest.raises(DegreeMismatch):
         assemble_relation_block(3, (4,), 1, Q)
+
+
+@pytest.mark.parametrize("fn", [block_row_count, block_rows])
+def test_negative_letter_count_is_named(fn):
+    # (-1, 7) sums to 6, the entry count of a size-4 triangle
+    with pytest.raises(DegreeMismatch, match=r"negative letter count -1"):
+        fn(4, (-1, 7), 2)
 
 
 def test_triangle_relation_arrangements():

@@ -5,20 +5,18 @@ import pytest
 
 import gsc.sparse
 from gsc import cache
+from gsc.echelon import EchelonForm, echelon_sparse
 from gsc.errors import ResourceLimit
 from gsc.fields import FieldSpec
+from gsc.matrix_text import read_matrix_text, write_matrix_text
 from gsc.quotient import block_pruned
 from gsc.relations import assemble_relation_block
 from gsc.sparse import (
-    EchelonForm,
     SparseMatrix,
     _primitive_row,
     _SignedUnionFind,
     _sparse_eliminate,
-    echelon_sparse,
     rank_sparse,
-    read_matrix_text,
-    write_matrix_text,
 )
 from gsc.tensor import multidegrees, n_triangle_entries
 

@@ -45,6 +45,7 @@ def test_pipeline_on_pruned_block(tmp_path):
 
 
 def test_pipeline_matches_block_dimension_table(tmp_path):
+    from gsc.echelon import echelon_sparse
     from gsc.quotient import QuotientConfig, block_dimension, clear_memory_cache
     from gsc.relations import assemble_relation_block
 
@@ -63,7 +64,7 @@ def test_pipeline_matches_block_dimension_table(tmp_path):
             assert rep.dimension == table.dimension
             # both share the peel; the echelon form is whole-matrix
             # Markowitz elimination, a route that shares none of it
-            ech = gsc.sparse.echelon_sparse(assemble_relation_block(n, k, d, field).matrix)
+            ech = echelon_sparse(assemble_relation_block(n, k, d, field).matrix)
             assert len(ech.pivot_cols) == rep.rank, (n, k, field)
             # the stream skips rows of dead columns: that is exact only
             # because a dead column stays a root

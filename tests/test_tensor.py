@@ -6,19 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsc.errors import DegreeMismatch, ShapeMismatch
-from gsc.tensor import (
+from gsc.elements import (
     RectMonomial,
     TriElement,
-    TriMonomial,
-    _words_with_counts,
-    count_block_monomials,
     element_from_json_text,
     element_to_json_text,
-    enumerate_block_monomials,
     expand_multilinear,
     monomial_from_json,
     monomial_to_json,
+)
+from gsc.errors import DegreeMismatch, ShapeMismatch
+from gsc.tensor import (
+    TriMonomial,
+    _words_with_counts,
+    count_block_monomials,
+    enumerate_block_monomials,
     multidegree_of,
     multidegrees,
     n_triangle_entries,
@@ -55,6 +57,14 @@ def test_enumerate_block_sizes():
     assert count_block_monomials(6, (5, 5, 5)) == 756756
     with pytest.raises(DegreeMismatch):
         enumerate_block_monomials(3, (1, 1))
+
+
+def test_negative_letter_count_is_named():
+    # (-1, 4) sums to 3, so the error is the negative entry, not the sum
+    with pytest.raises(DegreeMismatch, match=r"negative letter count -1"):
+        count_block_monomials(3, (-1, 4))
+    with pytest.raises(DegreeMismatch, match="does not sum to 3"):
+        count_block_monomials(3, (1, 1))
 
 
 def test_enumeration_is_sorted_and_on_degree():
