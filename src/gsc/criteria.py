@@ -3,8 +3,8 @@
 Each criterion function recomputes a family of published or derived
 values and compares exactly.  Results stream through a reporter as one
 pass/fail line per claim; the pytest acceptance module runs the same
-functions with the stated time bounds pinned.  :mod:`gsc.acceptance`
-holds the published values and loads this module on first use.
+functions with the stated time bounds pinned.  The published values
+come from :mod:`gsc.acceptance`.
 """
 
 from __future__ import annotations

@@ -84,7 +84,7 @@ class EchelonForm:
 def echelon_sparse(m: SparseMatrix) -> EchelonForm:
     """Forward echelon form of ``m``; row space preserved."""
     _check_limits(m)
-    pivot_cols, pivot_rows = _sparse_eliminate(m)
+    pivot_cols, pivot_rows = _sparse_eliminate(m.rows, m.field.p)
     return EchelonForm(
         n_cols=m.n_cols,
         field=m.field,

@@ -40,8 +40,11 @@ class BlockReport:
     dimension: int
     field: FieldSpec
     millis: int
-    pruned: bool = False
     certified: str = "exact"
+
+    @property
+    def pruned(self) -> bool:
+        return self.certified == "pruned"
 
     def to_json(self) -> dict:
         return {
@@ -70,7 +73,6 @@ class BlockReport:
             dimension=obj["dimension"],
             field=FieldSpec.parse(obj["field"]),
             millis=obj["millis"],
-            pruned=obj["pruned"],
             certified=obj["certified"],
         )
 
@@ -168,7 +170,6 @@ def block_dimension(
             dimension=0,
             field=field,
             millis=0,
-            pruned=True,
             certified="pruned",
         )
     else:

@@ -15,13 +15,14 @@ The forward echelon form, which gives the normal forms, lives in
 :mod:`gsc.echelon`: pure Markowitz elimination of the whole matrix,
 which shares no code with the peel and is an independent route to the
 same rank, so a rank run never loads it.  Elimination is
-exact over every field and deterministic.  Over Q it is fraction-free
-(Bareiss): rows enter as primitive integer rows (relation rows arrive as
-the int 1, the unit of every field, and enter unchanged) and a unit pivot
-costs one int subtraction per entry.  Relation blocks pivot almost only
-on units, ±1 over Q and 1 over GF(p), so the loop has paths for them that
-skip ``divmod`` and rescaling, and a one-entry unit pivot row only deletes
-its column from the rows below it.
+exact over every field and deterministic, and one loop serves Q and
+GF(p).  Over Q it is fraction-free (Bareiss): rows enter as primitive
+integer rows (relation rows arrive as the int 1, the unit of every
+field, and enter unchanged) and a unit pivot costs one int subtraction
+per entry.  Over GF(p) every pivot row is scaled to 1, so every pivot
+takes that unit path, and new and updated entries are reduced mod p.
+Relation blocks pivot almost only on units, ±1 over Q, so ``divmod``
+and rescaling are left to the rare other pivot.
 """
 
 from __future__ import annotations
@@ -144,33 +145,30 @@ def _primitive_row(row) -> dict[int, int]:
     return {c: x // g for c, x in ints.items()} if g > 1 else ints
 
 
-def _sparse_eliminate(m: SparseMatrix) -> tuple[list[int], list[dict[int, object]]]:
-    """Forward elimination; returns (pivot_cols, pivot_rows as dicts).
+def _sparse_eliminate(rows, p: int | None) -> tuple[list[int], list[dict[int, object]]]:
+    """Forward elimination of ``rows`` over Q (``p`` None) or GF(p).
 
-    Pivot choice: leftmost nonempty column, then the row of least fill
-    (fewest nonzeros), ties broken by row index.
+    ``rows`` holds rows of (column, value) pairs; returns (pivot_cols,
+    pivot_rows as dicts).  Pivot choice: leftmost nonempty column, then
+    the row of least fill (fewest nonzeros), ties broken by row index.
 
-    Over Q every row enters as a primitive integer row and elimination is
-    fraction-free: against pivot value ``v``, a row with entry ``a``
-    becomes ``(v/g)*row - (a/g)*prow`` for ``g = gcd(a, v)``, a plain
-    subtraction when ``v`` divides ``a``, and a row that was scaled is
-    divided by its content.  Each row stays a nonzero multiple of its
-    rational counterpart, so the fill, the pivots and the rank are those
-    of rational elimination.  Over GF(p) the pivot row is scaled to
-    pivot 1 and the same loop reduces mod p.
+    One loop serves both fields.  Over Q every row enters as a primitive
+    integer row and elimination is fraction-free: against pivot value
+    ``v``, a row with entry ``a`` becomes ``(v/g)*row - (a/g)*prow`` for
+    ``g = gcd(a, v)``, a plain subtraction when ``v`` divides ``a``, and a
+    row that was scaled is divided by its content.  Each row stays a
+    nonzero multiple of its rational counterpart, so the fill, the pivots
+    and the rank are those of rational elimination.  Over GF(p) the pivot
+    row is scaled to pivot 1 and every new or updated entry is reduced
+    mod p.
 
     Relation rows are all 1, so nearly every pivot is a unit: ±1 over Q,
-    1 over GF(p).  A unit pivot needs no ``divmod`` and no rescaling, a
-    row with entry ``a`` subtracts ``(a*v)*prow``, and a unit pivot row
-    with no other entry only deletes its column from the rows below.
-    The pivot column is taken out of the pivot row once, and each row
-    below drops its entry there before the rest is subtracted.
+    and always 1 over GF(p).  A unit pivot needs no ``divmod`` and no
+    rescaling: a row with entry ``a`` subtracts ``(a*v)*prow``.  The pivot
+    column is taken out of the pivot row once, and each row below drops
+    its entry there before the rest is subtracted.
     """
-    p = m.field.p
-    if p is None:
-        rows: list[dict[int, int] | None] = [_primitive_row(r) for r in m.rows]
-    else:
-        rows = [dict(r) for r in m.rows]
+    rows = [_primitive_row(r) for r in rows] if p is None else [dict(r) for r in rows]
     col_rows: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for c in row:
@@ -206,59 +204,37 @@ def _sparse_eliminate(m: SparseMatrix) -> tuple[list[int], list[dict[int, object
         # the rest of the pivot row, with each column's live row set
         rest = [(cc, vv, col_rows[cc]) for cc, vv in prow.items() if cc != c]
         unit = v == 1 or v == -1
-        if unit and not rest:
-            for i in live:
-                del rows[i][c]
-        elif p:
-            for i in live:
-                row = rows[i]
-                t = row.pop(c)
-                for cc, vv, s in rest:
-                    cur = row.get(cc)
-                    if cur is None:
-                        row[cc] = -t * vv % p
-                        if not s:  # an emptied column is queued again
-                            heappush(heap, cc)
-                        s.add(i)
-                    else:
-                        nv = (cur - t * vv) % p
-                        if nv:
-                            row[cc] = nv
-                        else:
-                            del row[cc]
-                            s.discard(i)
-        else:
-            for i in live:
-                row = rows[i]
-                a = row.pop(c)
-                if unit:
-                    t, r = a * v, 0
+        for i in live:
+            row = rows[i]
+            a = row.pop(c)
+            if unit:
+                t, r = a * v, 0
+            else:
+                t, r = divmod(a, v)
+                if r:  # v does not divide a: scale the row first
+                    g = gcd(a, v)
+                    scale, t = abs(v) // g, (a if v > 0 else -a) // g
+                    for cc in row:
+                        row[cc] *= scale
+            for cc, vv, s in rest:
+                cur = row.get(cc)
+                if cur is None:
+                    row[cc] = -t * vv % p if p else -t * vv
+                    if not s:  # an emptied column is queued again
+                        heappush(heap, cc)
+                    s.add(i)
                 else:
-                    t, r = divmod(a, v)
-                    if r:  # v does not divide a: scale the row first
-                        g = gcd(a, v)
-                        scale, t = abs(v) // g, (a if v > 0 else -a) // g
-                        for cc in row:
-                            row[cc] *= scale
-                for cc, vv, s in rest:
-                    cur = row.get(cc)
-                    if cur is None:
-                        row[cc] = -t * vv
-                        if not s:  # an emptied column is queued again
-                            heappush(heap, cc)
-                        s.add(i)
+                    nv = (cur - t * vv) % p if p else cur - t * vv
+                    if nv:
+                        row[cc] = nv
                     else:
-                        nv = cur - t * vv
-                        if nv:
-                            row[cc] = nv
-                        else:
-                            del row[cc]
-                            s.discard(i)
-                if r:
-                    g = gcd(*row.values())
-                    if g > 1:
-                        for cc in row:
-                            row[cc] //= g
+                        del row[cc]
+                        s.discard(i)
+            if r:
+                g = gcd(*row.values())
+                if g > 1:
+                    for cc in row:
+                        row[cc] //= g
         live.clear()
 
     return pivot_cols, pivot_rows
@@ -428,22 +404,18 @@ def _core_rank(stash: list, field: FieldSpec, progress=None) -> int:
     """Rank of what the peel left: the rows of ``stash`` over the live roots.
 
     The peel's last sweep adds no pivot, so every row it stashed is
-    already reduced over the final classes.  The roots the rows touch are
-    numbered in order and the core is eliminated in one call to
-    :func:`_sparse_eliminate`.  A core of more than ``MAX_ENTRIES``
-    entries is refused before elimination.
+    already reduced over the final classes, and the core is eliminated in
+    one call to :func:`_sparse_eliminate`, on the roots as its columns.
+    A core of more than ``MAX_ENTRIES`` entries is refused before
+    elimination.
     """
     entries = sum(map(len, stash))
     if entries > MAX_ENTRIES:
         raise ResourceLimit(f"core exceeds the memory budget ({entries} entries, limit {MAX_ENTRIES})")
-    roots = {r: i for i, r in enumerate(sorted({c for row in stash for c, _ in row}))}
-    core = SparseMatrix(
-        len(stash), len(roots), field,
-        tuple(tuple((roots[c], v) for c, v in row) for row in stash),
-    )
-    rank = len(_sparse_eliminate(core)[0])
+    rank = len(_sparse_eliminate(stash, field.p)[0])
     if progress:
-        progress(f"core: {core.n_rows} rows on {core.n_cols} classes, rank {rank}")
+        roots = {c for row in stash for c, _ in row}
+        progress(f"core: {len(stash)} rows on {len(roots)} classes, rank {rank}")
     return rank
 
 

@@ -84,14 +84,10 @@ class StretchBlock:
 
 
 CONJECTURE_BLOCK = StretchBlock()
-# Bumped whenever the saved state or the rows it is built from change.
-# Schema 1 files (no version, a generating-set number in the name) are
-# never resumed; schema 2 files copy the union-find's fields and hold a
-# core basis of their own; schema 3 files may be saved inside the stream;
-# schema 4 files hold Fraction scales and stash entries over Q, where
-# schema 5 files hold ints wherever the value is an integer; schema 6
-# files end in a digest of the pickle; schema 7 files come from the
-# shortest-first stream, whose stash and classes differ.
+# The schema is in the file name, so a file of another schema is never
+# resumed.  Bump it whenever a resumed run could differ from a fresh one:
+# when the fields of the saved state, the file's layout, the row order
+# or the rows themselves change, so that the classes or the stash would.
 CHECKPOINT_SCHEMA = 7
 # A checkpoint is its pickle followed by this trailer line; pickle stops
 # at its STOP opcode, so a plain ``pickle.load`` still reads the state.

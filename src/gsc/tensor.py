@@ -130,7 +130,12 @@ def _multinomial(counts: Sequence[int]) -> int:
 
 
 def check_multidegree(size: int, k: MultiDegree) -> None:
-    """Refuse letter counts that are negative or do not fill the triangle."""
+    """Refuse a negative size, and letter counts that are negative or do not fill the triangle.
+
+    Size 0, the operadic unit, is valid.
+    """
+    if size < 0:
+        raise DegreeMismatch(f"triangle size {size} is negative")
     for x in k:
         if x < 0:
             raise DegreeMismatch(f"multidegree {k} has a negative letter count {x}")

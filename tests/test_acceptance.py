@@ -10,7 +10,7 @@ import time
 import pytest
 
 from gsc import criteria
-from gsc.acceptance import CRITERIA, AcceptanceContext
+from gsc.criteria import CRITERIA, AcceptanceContext
 from gsc.fields import MULTI_PRIME_SET
 from gsc.relations import block_rows
 from gsc.saturation import GENERATOR_FAMILIES, _seed_elements, six_term_elements

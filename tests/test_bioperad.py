@@ -106,7 +106,7 @@ def test_degenerate_shapes_hold_vacuously():
 
 
 def test_mutated_splice_fails():
-    from gsc.acceptance import _mutated_row_compose
+    from gsc.criteria import _mutated_row_compose
 
     rep = check_bioperad_laws(300, 42, row_compose_fn=_mutated_row_compose)
     assert not rep.passed

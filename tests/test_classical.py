@@ -130,7 +130,7 @@ def test_axiom_suite_smoke_single_trial():
 
 
 def test_checker_reports_minimal_witness_for_mutation():
-    from gsc.acceptance import MUTATED_EXTERIOR_MODEL
+    from gsc.criteria import MUTATED_EXTERIOR_MODEL
 
     rep = check_operad_axioms(MUTATED_EXTERIOR_MODEL, 300, 42)
     assert not rep.passed

@@ -235,6 +235,15 @@ def test_export_names_a_negative_letter_count(runner, tmp_path):
     assert not out.exists()
 
 
+def test_export_refuses_a_negative_triangle_size(runner, tmp_path):
+    # n_triangle_entries(-2) is 3, so (3,) would otherwise fill the triangle
+    out = tmp_path / "x.mtx"
+    res = runner.invoke(main, ["export", "--n", "-2", "--k", "3", "--d", "1", "-o", str(out)])
+    assert res.exit_code == 2
+    assert "cannot assemble block: triangle size -2 is negative" in res.output
+    assert not out.exists()
+
+
 def test_export_bad_multidegree_usage(runner, tmp_path):
     res = runner.invoke(
         main, ["export", "--n", "3", "--k", "a,b", "--d", "2", "-o", str(tmp_path / "x")]
@@ -265,7 +274,7 @@ def test_verify_paper_help_smoke(runner):
 
 
 def test_verify_paper_exit_one_on_mismatch(runner, monkeypatch):
-    from gsc.acceptance import ClaimResult
+    from gsc.criteria import ClaimResult
 
     def fake_run(ctx, numbers=None, reporter=None):
         results = [
@@ -283,7 +292,7 @@ def test_verify_paper_exit_one_on_mismatch(runner, monkeypatch):
 
 
 def test_axioms_exit_one_on_mutated_build(runner, monkeypatch):
-    from gsc.acceptance import _mutated_transpose
+    from gsc.criteria import _mutated_transpose
     from gsc.diamond import check_gsc_axioms as real_check
 
     monkeypatch.setattr(

@@ -110,7 +110,7 @@ def test_trivial_grid_degeneration_reduces_to_word_operad():
 
 
 def test_mutated_transpose_fails_coherence():
-    from gsc.acceptance import _mutated_transpose
+    from gsc.criteria import _mutated_transpose
 
     rep = check_gsc_axioms(300, 42, transpose_fn=_mutated_transpose)
     assert not rep.passed

@@ -50,19 +50,3 @@ def test_dims_command_loads_no_criteria_or_law_suite(tmp_path):
     assert "gsc.quotient" in loaded
     assert sorted(loaded.intersection(("gsc.criteria", *LAW_SUITES))) == []
 
-
-def test_acceptance_names_still_resolve():
-    # a dunder lookup, such as the __path__ probe of "from gsc.acceptance
-    # import X", leaves the criteria unloaded; the criteria's names load them
-    loaded = modules_after(
-        "import gsc.acceptance as a\n"
-        "assert not hasattr(a, '__path__')\n"
-        "import sys\n"
-        "assert 'gsc.criteria' not in sys.modules\n"
-        "from gsc.acceptance import (CRITERIA, MUTATED_EXTERIOR_MODEL, AcceptanceContext,\n"
-        "    ClaimResult, _mutated_row_compose, _mutated_transpose, run_criteria)\n"
-        "import gsc.criteria as c\n"
-        "assert CRITERIA is c.CRITERIA and run_criteria is c.run_criteria\n"
-        "assert MUTATED_EXTERIOR_MODEL is c.MUTATED_EXTERIOR_MODEL"
-    )
-    assert {"gsc.criteria", *LAW_SUITES} <= loaded

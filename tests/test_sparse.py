@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -234,6 +235,25 @@ def test_peeled_rank_matches_markowitz_echelon_on_table_blocks(field):
         assert rank_sparse(m) == echelon_sparse(m).rank, (n, k, d)
 
 
+ECHELON_DIGESTS = {
+    "Q": "c129104f39fd7f7afaaf83af26ed5537edaa32f5421e55b25186960dc6fcdb10",
+    "GF(1000003)": "2d2dac890db20236e63246aafda8bf9410d107a8a351c182f8b7ce17fac4e5c8",
+}
+
+
+@pytest.mark.parametrize("field", [Q, FieldSpec.prime(1_000_003)], ids=str)
+def test_table_block_echelon_forms_are_pinned(field):
+    # the disk cache trusts a stored echelon.mtx across every version with
+    # the same cache.SCHEMA_VERSION, so a change to the forms elimination
+    # gives must fail here and bump the schema along with this digest
+    assert cache.SCHEMA_VERSION == 3
+    h = hashlib.sha256()
+    for n, k, d in tables_blocks():
+        ech = echelon_sparse(assemble_relation_block(n, k, d, field).matrix)
+        h.update(repr((ech.pivot_cols, ech.rows)).encode())
+    assert h.hexdigest() == ECHELON_DIGESTS[str(field)]
+
+
 def test_rank_eliminates_only_the_core_the_peel_leaves(monkeypatch):
     # the core rows are those of the stretch run on the same blocks
     # (StretchReport.core_rows, pinned in test_stretch.py); a rank that
@@ -241,9 +261,9 @@ def test_rank_eliminates_only_the_core_the_peel_leaves(monkeypatch):
     seen = []
     eliminate = gsc.sparse._sparse_eliminate
 
-    def spy_eliminate(m):
-        seen.append(m.n_rows)
-        return eliminate(m)
+    def spy_eliminate(rows, p):
+        seen.append(len(rows))
+        return eliminate(rows, p)
 
     monkeypatch.setattr(gsc.sparse, "_sparse_eliminate", spy_eliminate)
     for k, core_rows, rank in (((4, 4, 2), 80, 3144), ((4, 3, 3), 2060, 4184)):
@@ -257,11 +277,11 @@ def test_rational_forward_rows_are_fraction_free_and_scaled_rows_primitive():
     # pivot 2 does not divide 1: row 1 becomes 2*row1 - row0 = (0, 3, 3),
     # whose content 3 is divided out
     m = SparseMatrix.from_dense([[2, 1, 1], [1, 2, 2]], Q)
-    assert _sparse_eliminate(m) == ([0, 1], [{0: 2, 1: 1, 2: 1}, {1: 1, 2: 1}])
+    assert _sparse_eliminate(m.rows, None) == ([0, 1], [{0: 2, 1: 1, 2: 1}, {1: 1, 2: 1}])
     # a row with denominators enters as a primitive integer row; a pivot
     # that divides the entry is a plain subtraction: (4, 5) - 2*(2, -3)
     m = SparseMatrix.from_dense([[Fraction(1, 2), Fraction(-3, 4)], [4, 5]], Q)
-    assert _sparse_eliminate(m) == ([0, 1], [{0: 2, 1: -3}, {1: 11}])
+    assert _sparse_eliminate(m.rows, None) == ([0, 1], [{0: 2, 1: -3}, {1: 11}])
 
 
 @pytest.mark.parametrize("field", [Q, FieldSpec.prime(1_000_003)], ids=str)

@@ -67,6 +67,13 @@ def test_negative_letter_count_is_named():
         count_block_monomials(3, (1, 1))
 
 
+def test_negative_size_is_refused_and_size_zero_is_the_unit():
+    # n_triangle_entries(-2) is 3, so only the size check refuses (3,)
+    with pytest.raises(DegreeMismatch, match="triangle size -2 is negative"):
+        count_block_monomials(-2, (3,))
+    assert count_block_monomials(0, (0, 0)) == 1
+
+
 def test_enumeration_is_sorted_and_on_degree():
     monos = enumerate_block_monomials(4, (3, 3))
     assert monos == sorted(monos)
